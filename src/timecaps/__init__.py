@@ -14,15 +14,17 @@ from .capsules import (
 )
 from .conv import conv1d, conv2d, deconv1d
 from .data import Dataset, LabeledSignal, load_csv, normalize, save_csv, split, synth_waveforms
-from .errors import CheckpointError, ConfigError, DataFormatError, ShapeError
+from .errors import CheckpointError, ConfigError, DataFormatError, ShapeError, TrainingError
 from .gradcheck import grad_check, run_suite
 from .model import (
+    Classification,
     ForwardOutput,
     ModelConfig,
     ModelParams,
     cell_a_forward,
     cell_b_forward,
     classification_forward,
+    classify,
     concat_weighted,
     count_parameters,
     decoder_forward,

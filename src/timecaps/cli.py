@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, filter_min_class_count, load_csv, normalize, save_csv, split, synth_waveforms
-from .errors import CheckpointError, ConfigError, DataFormatError, ShapeError
+from .errors import CheckpointError, ConfigError, DataFormatError, ShapeError, TrainingError
 from .gradcheck import run_suite
 from .model import ModelConfig, init_params, model_forward
 from .tensor import Tensor, no_grad
@@ -85,14 +85,6 @@ class RunConfig:
         return cfg
 
 
-def _eval_workers() -> int:
-    raw = os.environ.get("TIMECAPS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _clean_partials(out_dir: Path):
     if out_dir.is_dir():
         for stale in out_dir.glob("*.partial"):
@@ -139,8 +131,7 @@ def cmd_train(args) -> int:
     train_set = _maybe_normalize(train_raw, cfg.normalize)
     test_set = _maybe_normalize(test_raw, cfg.normalize)
     params = init_params(cfg.model, seed=cfg.train.seed)
-    params, report = train(params, train_set, test_set, cfg.train,
-                           log=print, eval_workers=_eval_workers())
+    params, report = train(params, train_set, test_set, cfg.train, log=print)
 
     ckpt_tmp = out_dir / "model.ckpt.partial"
     save_checkpoint(params, ckpt_tmp)
@@ -161,7 +152,7 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _clean_partials(out_dir)
-    accuracy, confusion = evaluate(params, dataset, workers=_eval_workers())
+    accuracy, confusion = evaluate(params, dataset)
     _write_confusion(out_dir / "confusion.csv", confusion)
     print(f"accuracy={accuracy:.4f}")
     return 0
@@ -207,7 +198,7 @@ def cmd_gradcheck(args) -> int:
     failed = [r for r in results if r.max_rel_error >= GRAD_TOLERANCE]
     for r in results:
         status = "ok" if r.max_rel_error < GRAD_TOLERANCE else "FAIL"
-        print(f"{r.name:<12s} max_rel_error={r.max_rel_error:.3e} {status}")
+        print(f"{r.name:<14s} max_rel_error={r.max_rel_error:.3e} {status}")
     if failed:
         worst = max(failed, key=lambda r: r.max_rel_error)
         print(f"gradcheck FAILED: worst component {worst.name} "
@@ -281,7 +272,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataFormatError, CheckpointError, ShapeError,
+    except (ConfigError, DataFormatError, CheckpointError, ShapeError, TrainingError,
             OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -48,7 +48,11 @@ class Dataset:
 
 
 def load_csv(path, expected_L: int | None = None, num_classes: int | None = None) -> Dataset:
-    """Parse a label-plus-samples CSV; the signal length comes from row 1."""
+    """Parse a label-plus-samples CSV; the signal length comes from row 1.
+
+    Non-numeric and non-finite (nan, inf) samples are rejected, naming the
+    row and the 1-based column.
+    """
     signals: list[LabeledSignal] = []
     length = expected_L
     with open(path, "r", encoding="utf-8") as fh:
@@ -69,6 +73,11 @@ def load_csv(path, expected_L: int | None = None, num_classes: int | None = None
                 samples = np.array([float(v) for v in fields[1:]], dtype=np.float64)
             except ValueError:
                 raise DataFormatError(f"{path}: row {row_no} has a non-numeric sample") from None
+            finite = np.isfinite(samples)
+            if not finite.all():
+                col = int(np.argmin(finite)) + 2  # 1-based field number; the label is field 1
+                raise DataFormatError(
+                    f"{path}: row {row_no} column {col} has non-finite sample {fields[col - 1]!r}")
             if length is None:
                 length = samples.size
             elif samples.size != length:

@@ -15,3 +15,7 @@ class DataFormatError(ValueError):
 
 class CheckpointError(RuntimeError):
     """A checkpoint file is corrupted, truncated, or inconsistent."""
+
+
+class TrainingError(RuntimeError):
+    """Training cannot continue, e.g. the loss became non-finite."""

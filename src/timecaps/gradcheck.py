@@ -14,10 +14,11 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .capsules import LossParams, dynamic_routing, margin_loss, mse_loss, squash
+from .capsules import LossParams, dynamic_routing, margin_loss, squash
 from .conv import conv1d, conv2d, deconv1d
 from .model import ModelConfig, init_params, model_forward
 from .tensor import Tensor
+from .training import TrainConfig, total_loss
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
@@ -100,6 +101,10 @@ def run_suite(cfg: ModelConfig | None = None, seed: int = 0, h: float = 1e-5,
     r4 = rng.standard_normal((4, 6))
     record("squash", grad_check(lambda t: _weighted_sum(squash(t, -1), r4), Tensor(x), h))
 
+    x = rng.standard_normal((2, 4, 6)) + 0.5
+    r4 = rng.standard_normal((2, 4, 6))
+    record("squash_batch2", grad_check(lambda t: _weighted_sum(squash(t, -1), r4), Tensor(x), h))
+
     x = rng.standard_normal((3, 5))
     r5 = rng.standard_normal((3, 5))
     record("softmax", grad_check(lambda t: _weighted_sum(T.softmax_axis(t, (1,)), r5), Tensor(x), h))
@@ -107,6 +112,11 @@ def run_suite(cfg: ModelConfig | None = None, seed: int = 0, h: float = 1e-5,
     votes = rng.standard_normal((2, 3, 4, 5))
     r6 = rng.standard_normal((2, 3, 5))
     record("routing", grad_check(
+        lambda t: _weighted_sum(dynamic_routing(t, 3), r6), Tensor(votes), h))
+
+    votes = rng.standard_normal((2, 2, 3, 4, 5))
+    r6 = rng.standard_normal((2, 2, 3, 5))
+    record("routing_batch2", grad_check(
         lambda t: _weighted_sum(dynamic_routing(t, 3), r6), Tensor(votes), h))
 
     lengths = rng.uniform(0.15, 0.85, size=5)
@@ -123,29 +133,22 @@ def _full_model_check(cfg: ModelConfig, seed: int, h: float) -> float:
     rng = np.random.default_rng(seed)
     params = init_params(cfg, seed=seed)
     x = rng.standard_normal(cfg.L)
-    target = Tensor(x)
+    target = Tensor(x)  # the reconstruction target stays pinned to the unperturbed signal
     true_class = 0
-    recon_weight = 0.0005
+    loss_cfg = TrainConfig()
 
-    def loss_with(p) -> Tensor:
-        fwd = model_forward(Tensor(x), p, cfg, mask_class=true_class)
-        margin = margin_loss(fwd.class_lengths, true_class, LossParams())
-        return T.add(margin, T.scale(mse_loss(fwd.reconstruction, target), recon_weight))
+    def loss_with(signal: Tensor, p) -> Tensor:
+        fwd = model_forward(signal, p, cfg, mask_class=true_class)
+        return total_loss(fwd, target, true_class, loss_cfg)
 
     worst = 0.0
     for name in params.names():
         original = params[name]
 
         def f(t: Tensor, _name=name) -> Tensor:
-            return loss_with(params.replace({_name: t}))
+            return loss_with(Tensor(x), params.replace({_name: t}))
 
         worst = max(worst, grad_check(f, original, h))
 
-    def f_input(t: Tensor) -> Tensor:
-        # reconstruction target stays pinned to the unperturbed signal
-        fwd = model_forward(t, params, cfg, mask_class=true_class)
-        margin = margin_loss(fwd.class_lengths, true_class, LossParams())
-        return T.add(margin, T.scale(mse_loss(fwd.reconstruction, target), recon_weight))
-
-    worst = max(worst, grad_check(f_input, Tensor(x), h))
+    worst = max(worst, grad_check(lambda t: loss_with(t, params), Tensor(x), h))
     return worst

@@ -2,13 +2,17 @@
 segment-sliced capsule cells, weighted concatenation, class capsules, and a
 deconvolution decoder.
 
-Shapes, given a config:
+Shapes, given a config (every stage also takes a leading batch axis B,
+which its output then carries: (B, L) -> (B, L, k) and so on):
   front_conv              (L,)            -> (L, k)
   cell_a_forward          (L, k)          -> (L*c_sa, a_sa)
   cell_b_forward          (L, k)          -> ((L/n)*c_sb, a_sb)
   concat_weighted                         -> (N, a_s)        N = L*c_sa + (L/n)*c_sb
   classification_forward  (N, a_s)        -> (num_classes, a_sig)
   decoder_forward         class capsules  -> (L,)
+
+``classify`` runs everything up to the class capsules (all prediction
+needs); ``model_forward`` adds the decoder's reconstruction.
 """
 
 from __future__ import annotations
@@ -258,58 +262,83 @@ def count_parameters(params: ModelParams) -> int:
     return sum(p.size for p in params.tensors().values())
 
 
+def _argmax_classes(lengths: Tensor):
+    """Index of the longest class capsule: an int, or one per batch row."""
+    pred = np.argmax(lengths.data, axis=-1)
+    return int(pred) if pred.ndim == 0 else pred
+
+
+@dataclass
+class Classification:
+    """The classifier's part of a forward pass: class capsules, their lengths,
+    and the inspectable intermediates."""
+
+    class_capsules: Tensor
+    class_lengths: Tensor
+    intermediates: dict[str, Tensor] = field(default_factory=dict)
+
+    def predicted_class(self):
+        return _argmax_classes(self.class_lengths)
+
+
 @dataclass
 class ForwardOutput:
-    """Everything one forward pass produces, plus inspectable intermediates."""
+    """Everything one forward pass produces, plus inspectable intermediates.
+
+    With a batch axis, ``mask_class`` holds one class index per row."""
 
     class_capsules: Tensor
     class_lengths: Tensor
     reconstruction: Tensor
-    mask_class: int
+    mask_class: int | np.ndarray
     intermediates: dict[str, Tensor] = field(default_factory=dict)
 
-    def predicted_class(self) -> int:
-        return int(np.argmax(self.class_lengths.data))
+    def predicted_class(self):
+        return _argmax_classes(self.class_lengths)
 
 
 def front_conv(x: Tensor, params: ModelParams, cfg: ModelConfig) -> Tensor:
     """Same-padded width-g1 convolution of the raw signal into k feature maps."""
-    if x.shape != (cfg.L,):
-        raise ShapeError(f"input length {x.shape} != configured ({cfg.L},)")
-    return conv1d(T.reshape(x, (cfg.L, 1)), params["front_kernels"], stride=1, pad="same")
+    if x.data.ndim not in (1, 2) or x.shape[-1] != cfg.L:
+        raise ShapeError(f"input shape {x.shape} is not ({cfg.L},) or (B, {cfg.L})")
+    return conv1d(T.reshape(x, x.shape + (1,)), params["front_kernels"], stride=1, pad="same")
 
 
 def cell_a_forward(phi: Tensor, params: ModelParams, cfg: ModelConfig) -> Tensor:
     """Channel-sliced capsules: primary capsules along the feature axis vote
     (via a strided 2D convolution) for next-layer feature-map bundles, which
     are then routed over the primary channel blocks."""
+    lead = phi.shape[:-2]
     length, fa = cfg.L, cfg.c_p * cfg.a_p
     feats = conv1d(phi, params["cell_a_conv"], stride=1, pad="same")  # (L, c_p*a_p)
-    primary = squash(T.reshape(feats, (length, cfg.c_p, cfg.a_p)), axis=-1)
-    stacked = T.reshape(primary, (length, fa, 1))
+    primary = squash(T.reshape(feats, lead + (length, cfg.c_p, cfg.a_p)), axis=-1)
+    stacked = T.reshape(primary, lead + (length, fa, 1))
     votes = conv2d(stacked, params["cell_a_votes"], stride_h=1, stride_w=cfg.a_p)
     # width sweep yields (fa - a_p)/a_p + 1 == c_p positions
-    votes = T.reshape(votes, (length, cfg.c_p, cfg.c_sa, cfg.a_sa))
-    votes = T.permute(votes, (0, 2, 1, 3))  # (L, c_sa, c_p, a_sa): block axis = c_p
+    votes = T.reshape(votes, lead + (length, cfg.c_p, cfg.c_sa, cfg.a_sa))
+    k = len(lead)
+    votes = T.permute(votes, tuple(range(k)) + (k, k + 2, k + 1, k + 3))  # block axis = c_p
     routed = dynamic_routing(votes, cfg.routing_iters)  # (L, c_sa, a_sa)
-    return T.flatten_leading(routed, keep_last=1)
+    return T.reshape(routed, lead + (length * cfg.c_sa, cfg.a_sa))
 
 
 def cell_b_forward(phi: Tensor, params: ModelParams, cfg: ModelConfig) -> Tensor:
     """Segment-sliced capsules: the signal is cut into length-n segments whose
     capsules vote for past/future segment content; votes are routed over the
     segment axis."""
+    lead = phi.shape[:-2]
     length, fb, n = cfg.L, cfg.c_b * cfg.a_b, cfg.n
     segments = length // n
     reduced = conv1d(phi, params["cell_b_reduce"], stride=1, pad="same")  # 1x1 conv
     feats = conv1d(reduced, params["cell_b_conv"], stride=1, pad="same")  # (L, c_b*a_b)
-    primary = squash(T.reshape(feats, (segments, n, fb)), axis=-1)
-    stacked = T.reshape(primary, (segments, n * fb, 1))
+    primary = squash(T.reshape(feats, lead + (segments, n, fb)), axis=-1)
+    stacked = T.reshape(primary, lead + (segments, n * fb, 1))
     votes = conv2d(stacked, params["cell_b_votes"], stride_h=1, stride_w=fb)
-    votes = T.reshape(votes, (segments, n, cfg.c_sb, cfg.a_sb))
-    votes = T.permute(votes, (0, 2, 1, 3))  # (L/n, c_sb, n, a_sb): block axis = n
+    votes = T.reshape(votes, lead + (segments, n, cfg.c_sb, cfg.a_sb))
+    k = len(lead)
+    votes = T.permute(votes, tuple(range(k)) + (k, k + 2, k + 1, k + 3))  # block axis = n
     routed = dynamic_routing(votes, cfg.routing_iters)  # (L/n, c_sb, a_sb)
-    return T.flatten_leading(routed, keep_last=1)
+    return T.reshape(routed, lead + (segments * cfg.c_sb, cfg.a_sb))
 
 
 def concat_weighted(omega_a: Tensor, omega_b: Tensor, alpha: Tensor, beta: Tensor) -> Tensor:
@@ -317,7 +346,7 @@ def concat_weighted(omega_a: Tensor, omega_b: Tensor, alpha: Tensor, beta: Tenso
     if omega_a.shape[-1] != omega_b.shape[-1]:
         raise ShapeError(
             f"capsule dims differ: {omega_a.shape[-1]} vs {omega_b.shape[-1]}")
-    return T.concat([T.scale(omega_a, alpha), T.scale(omega_b, beta)], axis=0)
+    return T.concat([T.scale(omega_a, alpha), T.scale(omega_b, beta)], axis=-2)
 
 
 def classification_forward(omega_cc: Tensor, params: ModelParams, cfg: ModelConfig) -> Tensor:
@@ -325,73 +354,80 @@ def classification_forward(omega_cc: Tensor, params: ModelParams, cfg: ModelConf
     routed over all N capsules to yield one capsule per class."""
     w = params["class_weights"]  # (N, num_classes, a_s, a_sig)
     n_caps, classes, a_s, a_sig = w.shape
-    if omega_cc.shape != (n_caps, a_s):
+    lead = omega_cc.shape[:-2]
+    if omega_cc.data.ndim not in (2, 3) or omega_cc.shape[-2:] != (n_caps, a_s):
         raise ShapeError(f"expected capsules {(n_caps, a_s)}, got {omega_cc.shape}")
-    votes = T.contract("na,ncab->cnb", omega_cc, w)  # (classes, N, a_sig)
-    votes = T.reshape(votes, (1, classes, n_caps, a_sig))
+    spec = "zna,ncab->zcnb" if lead else "na,ncab->cnb"
+    votes = T.contract(spec, omega_cc, w)  # ([B,] classes, N, a_sig)
+    rows = lead[0] if lead else 1
+    votes = T.reshape(votes, (rows, classes, n_caps, a_sig))  # one outer row per example
     routed = dynamic_routing(votes, cfg.routing_iters)  # (1, classes, a_sig)
-    return T.reshape(routed, (classes, a_sig))
+    return T.reshape(routed, lead + (classes, a_sig))
 
 
 def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return T.add(T.contract("i,io->o", x, w), b)
+    spec = "zi,io->zo" if x.data.ndim == 2 else "i,io->o"
+    return T.add(T.contract(spec, x, w), b)
 
 
-def _add_bias(x: Tensor, b: Tensor) -> Tensor:
-    rows = x.shape[0]
-    return T.add(x, T.repeat_axis(T.reshape(b, (1, b.shape[0])), 0, rows))
-
-
-def decoder_forward(class_capsules: Tensor, mask_class: int, params: ModelParams,
+def decoder_forward(class_capsules: Tensor, mask_class, params: ModelParams,
                     cfg: ModelConfig) -> Tensor:
     """Reconstruct the signal from one surviving class capsule.
 
-    All capsules except ``mask_class`` are zeroed, then two ReLU FC layers
-    feed five transposed convolutions (ReLU between, linear last) that
-    upsample back to length L.
+    All capsules except ``mask_class`` (one per row with a batch axis) are
+    zeroed, then two ReLU FC layers feed five transposed convolutions (ReLU
+    between, linear last) that upsample back to length L.
     """
-    if not 0 <= mask_class < cfg.num_classes:
+    lead = class_capsules.shape[:-2]
+    labels = np.asarray(mask_class)
+    if labels.shape != lead:
+        raise ShapeError(f"mask_class of shape {labels.shape} does not match capsules {class_capsules.shape}")
+    if np.any(labels < 0) or np.any(labels >= cfg.num_classes):
         raise ValueError(f"mask_class {mask_class} out of range for {cfg.num_classes} classes")
-    mask = np.zeros((cfg.num_classes, cfg.a_sig))
-    mask[mask_class, :] = 1.0
+    mask = np.eye(cfg.num_classes)[labels][..., None]  # ([B,] classes, 1)
     masked = T.mul(class_capsules, Tensor(mask))
-    h = T.reshape(masked, (cfg.num_classes * cfg.a_sig,))
+    h = T.reshape(masked, lead + (cfg.num_classes * cfg.a_sig,))
     h = T.relu(_linear(h, params["decoder_fc1_w"], params["decoder_fc1_b"]))
     h = T.relu(_linear(h, params["decoder_fc2_w"], params["decoder_fc2_b"]))
     seed_len, seed_ch = cfg.decoder_seed()
-    h = T.reshape(h, (seed_len, seed_ch))
+    h = T.reshape(h, lead + (seed_len, seed_ch))
     last = len(cfg.decoder_deconv)
     for i, (_out_ch, _width, stride) in enumerate(cfg.decoder_deconv, start=1):
-        h = _add_bias(deconv1d(h, params[f"decoder_deconv{i}_w"], stride=stride),
-                      params[f"decoder_deconv{i}_b"])
+        h = T.add(deconv1d(h, params[f"decoder_deconv{i}_w"], stride=stride),
+                  params[f"decoder_deconv{i}_b"])
         if i < last:
             h = T.relu(h)
-    if h.shape != (cfg.L, 1):
-        raise ConfigError(f"decoder produced {h.shape}, expected ({cfg.L}, 1)")
-    return T.reshape(h, (cfg.L,))
+    if h.shape[-2:] != (cfg.L, 1):
+        raise ConfigError(f"decoder produced {h.shape[-2:]}, expected ({cfg.L}, 1)")
+    return T.reshape(h, lead + (cfg.L,))
 
 
-def model_forward(x: Tensor, params: ModelParams, cfg: ModelConfig,
-                  mask_class: int | None = None) -> ForwardOutput:
-    """Full pipeline; ``mask_class=None`` masks the decoder by the predicted
-    class (inference), an int masks by that label (training)."""
+def classify(x: Tensor, params: ModelParams, cfg: ModelConfig) -> Classification:
+    """Signal(s) to class capsules and lengths: every stage but the decoder."""
     phi = front_conv(x, params, cfg)
     omega_a = cell_a_forward(phi, params, cfg)
     omega_b = cell_b_forward(phi, params, cfg)
     omega_cc = concat_weighted(omega_a, omega_b, params["alpha"], params["beta"])
     class_capsules = classification_forward(omega_cc, params, cfg)
-    lengths = capsule_length(class_capsules, axis=-1)
-    chosen = int(np.argmax(lengths.data)) if mask_class is None else int(mask_class)
-    reconstruction = decoder_forward(class_capsules, chosen, params, cfg)
-    return ForwardOutput(
+    return Classification(
         class_capsules=class_capsules,
-        class_lengths=lengths,
+        class_lengths=capsule_length(class_capsules, axis=-1),
+        intermediates={"phi": phi, "omega_a": omega_a, "omega_b": omega_b, "omega_cc": omega_cc},
+    )
+
+
+def model_forward(x: Tensor, params: ModelParams, cfg: ModelConfig,
+                  mask_class=None) -> ForwardOutput:
+    """Full pipeline on (L,) or (B, L) signals; ``mask_class=None`` masks the
+    decoder by the predicted class (inference), labels mask by those
+    (training): an int, or one per row with a batch axis."""
+    out = classify(x, params, cfg)
+    chosen = out.predicted_class() if mask_class is None else mask_class
+    reconstruction = decoder_forward(out.class_capsules, chosen, params, cfg)
+    return ForwardOutput(
+        class_capsules=out.class_capsules,
+        class_lengths=out.class_lengths,
         reconstruction=reconstruction,
         mask_class=chosen,
-        intermediates={
-            "phi": phi,
-            "omega_a": omega_a,
-            "omega_b": omega_b,
-            "omega_cc": omega_cc,
-        },
+        intermediates=out.intermediates,
     )

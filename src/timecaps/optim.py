@@ -33,7 +33,14 @@ class AdamState:
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState) -> tuple[dict[str, Tensor], AdamState]:
-    """One bias-corrected Adam update; returns fresh parameter tensors."""
+    """One bias-corrected Adam update; returns fresh parameter tensors.
+
+    The moments are updated in place and each new parameter is written into
+    its step buffer, so a step allocates one parameter-sized array per
+    tensor plus short-lived temporaries.  The arithmetic is the textbook
+    expression evaluated in the same order, so results are bit-identical to
+    ``p - lr * (m / c1) / (sqrt(v / c2) + eps)`` with fresh moments.
+    """
     t = state.step_count + 1
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
@@ -42,11 +49,19 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         g = np.asarray(grads[name], dtype=np.float64)
         if g.shape != p.shape:
             raise ShapeError(f"gradient shape {g.shape} != param shape {p.shape} for {name!r}")
-        m = state.beta1 * state.first_moment[name] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.second_moment[name] + (1.0 - state.beta2) * (g * g)
-        state.first_moment[name] = m
-        state.second_moment[name] = v
-        step = state.lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
-        updated[name] = Tensor(p.data - step, requires_grad=p.requires_grad)
+        m = state.first_moment[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v = state.second_moment[name]
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        step = m / c1
+        step *= state.lr
+        denom = v / c2
+        np.sqrt(denom, out=denom)
+        denom += state.epsilon
+        step /= denom
+        np.subtract(p.data, step, out=step)
+        updated[name] = Tensor(step, requires_grad=p.requires_grad)
     state.step_count = t
     return updated, state

@@ -3,10 +3,14 @@
 Every operation builds the tape as it runs (define-by-run): the result tensor
 keeps references to its inputs and a closure that routes the output gradient
 back to them.  Calling ``backward()`` on a scalar result topologically sorts
-the recorded graph and accumulates gradients into every grad-enabled leaf.
+the recorded graph and accumulates gradients into every grad-enabled leaf;
+each interior node releases its gradient, closure and parent links as soon as
+its own backward has run, so the graph is consumed as it is differentiated.
 
 Tensor data is treated as immutable after construction; ``grad`` is the only
-mutable slot and is owned by the backward pass.
+mutable slot and is owned by the backward pass.  Elementwise binary ops
+broadcast with numpy rules, which is how a batch axis meets per-model
+parameters (a bias of shape (C,) added to (B, L, C) activations).
 """
 
 from __future__ import annotations
@@ -75,7 +79,10 @@ class Tensor:
         """Accumulate d(self)/d(leaf) into every grad-enabled leaf.
 
         The recorded graph is consumable once: a second backward from the
-        same root raises, because gradients would double-accumulate.
+        same root raises, because gradients would double-accumulate.  Interior
+        nodes drop their gradient, closure and parents once their backward has
+        run, so only leaves hold a ``grad`` afterwards, and an intermediate the
+        caller does not hold is freed as soon as it has been differentiated.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar loss, got shape {self.shape}")
@@ -100,9 +107,15 @@ class Tensor:
                     stack.append((p, False))
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()  # dropping the list's reference frees unheld intermediates
+            if node._backward is None:
+                continue  # leaf or constant
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._backward = None
+            node._parents = ()
 
     # Arithmetic sugar; scalars are allowed on either side.
     def __add__(self, other):
@@ -139,11 +152,19 @@ def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
-    # Copy on first write so backward closures may hand out views or shared
-    # arrays; later contributions add into the owned buffer.
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False):
+    """Add ``g`` into ``t.grad``.
+
+    ``owned=True`` promises that ``g`` is a float64 array of ``t``'s shape
+    that nothing else will read or write: freshly computed, or a view of the
+    calling node's own gradient buffer, which backward() releases right after
+    the call.  It then becomes the gradient buffer as is.  Otherwise
+    (read-only broadcasts, the upstream gradient itself, arrays handed to
+    several parents) the first write copies, so every tensor owns its buffer
+    and later contributions can add into it in place.
+    """
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = g if owned else np.array(g, dtype=np.float64)
     else:
         t.grad += g
 
@@ -158,8 +179,19 @@ def make_op(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.
     return out
 
 
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a broadcast result's gradient back down to an operand's shape."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, n in enumerate(shape) if n == 1 and g.shape[lead + i] != 1)
+    return g.sum(axis=axes).reshape(shape)
+
+
 def _binary(a, b, fwd, da, db) -> Tensor:
-    """Elementwise binary op; operands must share a shape or one is a scalar."""
+    """Elementwise binary op; operand shapes broadcast with numpy rules and a
+    plain number broadcasts as a scalar."""
     if not isinstance(a, Tensor) and not isinstance(b, Tensor):
         raise TypeError("at least one operand must be a Tensor")
     a_t = isinstance(a, Tensor)
@@ -167,14 +199,17 @@ def _binary(a, b, fwd, da, db) -> Tensor:
     av = a.data if a_t else float(a)
     bv = b.data if b_t else float(b)
     if a_t and b_t and a.shape != b.shape:
-        raise ShapeError(f"operand shapes differ: {a.shape} vs {b.shape}")
+        try:
+            np.broadcast_shapes(a.shape, b.shape)
+        except ValueError:
+            raise ShapeError(f"operand shapes do not broadcast: {a.shape} vs {b.shape}") from None
     data = fwd(av, bv)
 
     def backward(gout: np.ndarray):
-        if a_t and a.requires_grad:
-            _accumulate(a, da(gout, av, bv))
-        if b_t and b.requires_grad:
-            _accumulate(b, db(gout, av, bv))
+        for t, d in ((a, da), (b, db)):
+            if isinstance(t, Tensor) and t.requires_grad:
+                g = _unbroadcast(d(gout, av, bv), t.shape)
+                _accumulate(t, g, owned=g is not gout)
 
     parents = tuple(t for t in (a, b) if isinstance(t, Tensor))
     return make_op(data, parents, backward)
@@ -202,7 +237,7 @@ def div(a, b) -> Tensor:
 
 
 def neg(a: Tensor) -> Tensor:
-    return make_op(-a.data, (a,), lambda g: _accumulate(a, -g))
+    return make_op(-a.data, (a,), lambda g: _accumulate(a, -g, owned=True))
 
 
 def scale(t: Tensor, s) -> Tensor:
@@ -216,9 +251,9 @@ def scale(t: Tensor, s) -> Tensor:
 
         def backward(gout: np.ndarray):
             if t.requires_grad:
-                _accumulate(t, gout * sval)
+                _accumulate(t, gout * sval, owned=True)
             if s.requires_grad:
-                _accumulate(s, np.sum(gout * t.data).reshape(s.shape))
+                _accumulate(s, np.sum(gout * t.data).reshape(s.shape), owned=True)
 
         return make_op(data, (t, s), backward)
     return mul(t, float(s))
@@ -228,7 +263,7 @@ def relu(t: Tensor) -> Tensor:
     mask = t.data > 0
 
     def backward(gout):
-        _accumulate(t, gout * mask)
+        _accumulate(t, gout * mask, owned=True)
 
     return make_op(np.where(mask, t.data, 0.0), (t,), backward)
 
@@ -239,7 +274,7 @@ def sigmoid(t: Tensor) -> Tensor:
     out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
     def backward(gout):
-        _accumulate(t, gout * out * (1.0 - out))
+        _accumulate(t, gout * out * (1.0 - out), owned=True)
 
     return make_op(out, (t,), backward)
 
@@ -248,7 +283,7 @@ def sqrt(t: Tensor) -> Tensor:
     out = np.sqrt(t.data)
 
     def backward(gout):
-        _accumulate(t, gout / (2.0 * out))
+        _accumulate(t, gout / (2.0 * out), owned=True)
 
     return make_op(out, (t,), backward)
 
@@ -299,7 +334,7 @@ def max_over(t: Tensor, axes=None, keepdims: bool = False) -> Tensor:
         g = _restore_keepdims(np.asarray(gout), axes_n, keepdims, t.shape)
         mask = t.data == kept
         count = mask.sum(axis=axes_n, keepdims=True)
-        _accumulate(t, mask * (g / count))  # ties share the gradient equally
+        _accumulate(t, mask * (g / count), owned=True)  # ties share the gradient equally
 
     return make_op(data, (t,), backward)
 
@@ -319,7 +354,9 @@ def reshape(t: Tensor, new_shape) -> Tensor:
     old_shape = t.shape
 
     def backward(gout):
-        _accumulate(t, np.asarray(gout).reshape(old_shape))
+        # gout is this node's own gradient buffer, released as soon as this
+        # returns, so the parent may adopt a view of it
+        _accumulate(t, np.asarray(gout).reshape(old_shape), owned=True)
 
     return make_op(t.data.reshape(new_shape), (t,), backward)
 
@@ -331,7 +368,7 @@ def permute(t: Tensor, order: Iterable[int]) -> Tensor:
     inverse = tuple(np.argsort(order))
 
     def backward(gout):
-        _accumulate(t, np.transpose(np.asarray(gout), inverse))
+        _accumulate(t, np.transpose(np.asarray(gout), inverse), owned=True)  # as in reshape
 
     return make_op(np.transpose(t.data, order), (t,), backward)
 
@@ -355,7 +392,7 @@ def repeat_axis(t: Tensor, axis: int, times: int) -> Tensor:
     data = np.repeat(t.data, times, axis=axis)
 
     def backward(gout):
-        _accumulate(t, np.asarray(gout).sum(axis=axis, keepdims=True))
+        _accumulate(t, np.asarray(gout).sum(axis=axis, keepdims=True), owned=True)
 
     return make_op(data, (t,), backward)
 
@@ -413,9 +450,9 @@ def contract(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
     def backward(gout):
         g = np.asarray(gout)
         if a.requires_grad:
-            _accumulate(a, np.einsum(f"{out_spec},{b_spec}->{a_spec}", g, b.data))
+            _accumulate(a, np.einsum(f"{out_spec},{b_spec}->{a_spec}", g, b.data), owned=True)
         if b.requires_grad:
-            _accumulate(b, np.einsum(f"{a_spec},{out_spec}->{b_spec}", a.data, g))
+            _accumulate(b, np.einsum(f"{a_spec},{out_spec}->{b_spec}", a.data, g), owned=True)
 
     return make_op(data, (a, b), backward)
 
@@ -434,6 +471,6 @@ def softmax_axis(t: Tensor, axes) -> Tensor:
     def backward(gout):
         g = np.asarray(gout)
         inner = (g * y).sum(axis=axes_n, keepdims=True)
-        _accumulate(t, y * (g - inner))
+        _accumulate(t, y * (g - inner), owned=True)
 
     return make_op(y, (t,), backward)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,12 +16,14 @@ import numpy as np
 from . import tensor as T
 from .capsules import LossParams, margin_loss, mse_loss
 from .data import Dataset
-from .errors import CheckpointError, ConfigError
-from .model import ForwardOutput, ModelConfig, ModelParams, model_forward, param_shapes
+from .errors import CheckpointError, ConfigError, TrainingError
+from .model import ForwardOutput, ModelConfig, ModelParams, classify, model_forward, param_shapes
 from .optim import AdamState, adam_step
 from .tensor import Tensor, no_grad
 
 _CHECKPOINT_MAGIC = "timecaps-checkpoint"
+# Rows per no-grad forward in evaluate().
+EVAL_CHUNK = 16
 
 
 @dataclass
@@ -82,42 +83,66 @@ class TrainReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def total_loss(fwd: ForwardOutput, target: Tensor, true_class: int, cfg: TrainConfig) -> Tensor:
-    """Margin loss on class lengths plus down-weighted reconstruction MSE."""
+def total_loss(fwd: ForwardOutput, target: Tensor, true_class, cfg: TrainConfig) -> Tensor:
+    """Margin loss on class lengths plus down-weighted reconstruction MSE;
+    one loss per row when the forward carries a batch axis."""
     loss_params = LossParams(lam=cfg.lambda_margin)
     margin = margin_loss(fwd.class_lengths, true_class, loss_params)
     return T.add(margin, T.scale(mse_loss(fwd.reconstruction, target), cfg.recon_weight))
 
 
-def evaluate(params: ModelParams, dataset: Dataset, workers: int = 1) -> tuple[float, np.ndarray]:
-    """Accuracy (argmax class length) and the true-by-predicted count matrix."""
+def _stack(signals) -> Tensor:
+    return Tensor(np.stack([sig.samples for sig in signals]))
+
+
+def evaluate(params: ModelParams, dataset: Dataset) -> tuple[float, np.ndarray]:
+    """Accuracy (argmax class length) and the true-by-predicted count matrix.
+
+    Runs the classifier only (no decoder), one no-grad forward per chunk of
+    EVAL_CHUNK rows.
+    """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     cfg = params.config
-
-    def predict(sig) -> int:
-        with no_grad():
-            fwd = model_forward(Tensor(sig.samples), params, cfg, mask_class=None)
-        return fwd.predicted_class()
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            preds = list(pool.map(predict, dataset.signals))
-    else:
-        preds = [predict(sig) for sig in dataset.signals]
+    preds: list[int] = []
+    with no_grad():
+        for lo in range(0, len(dataset), EVAL_CHUNK):
+            chunk = _stack(dataset.signals[lo : lo + EVAL_CHUNK])
+            preds.extend(int(p) for p in classify(chunk, params, cfg).predicted_class())
 
     confusion = np.zeros((cfg.num_classes, cfg.num_classes), dtype=int)
-    correct = 0
     for sig, pred in zip(dataset.signals, preds):
         confusion[sig.label, pred] += 1
-        correct += int(pred == sig.label)
-    return correct / len(dataset), confusion
+    return int(np.trace(confusion)) / len(dataset), confusion
+
+
+def _backprop_batch(params: ModelParams, signals, cfg: TrainConfig,
+                    where: str) -> tuple[float, float]:
+    """One tape for the whole mini-batch: forward, summed loss, backward.
+
+    Leaves the summed per-example gradients in ``params``' grads and returns
+    the batch's summed margin and reconstruction losses.  The graph lives
+    only inside this call, so it is released before the next batch records.
+    """
+    x = _stack(signals)
+    labels = np.array([sig.label for sig in signals])
+    fwd = model_forward(x, params, params.config, mask_class=labels)
+    loss = T.sum_over(total_loss(fwd, x, labels, cfg))
+    if not np.isfinite(loss.data):
+        raise TrainingError(f"non-finite loss {loss.item()} at {where}")
+    loss.backward()
+    with no_grad():  # the two reported terms, read off the same forward
+        margin = margin_loss(fwd.class_lengths, labels, LossParams(lam=cfg.lambda_margin))
+        recon = mse_loss(fwd.reconstruction, x)
+    return float(np.sum(margin.data)), float(np.sum(recon.data))
 
 
 def train(params: ModelParams, train_set: Dataset, test_set: Dataset, cfg: TrainConfig,
-          log=None, eval_workers: int = 1) -> tuple[ModelParams, TrainReport]:
+          log=None) -> tuple[ModelParams, TrainReport]:
     """Seeded mini-batch loop: gradients averaged per batch, one Adam step per
-    batch, both splits evaluated after every epoch.  Deterministic per seed."""
+    batch, both splits evaluated after every epoch.  Deterministic per seed.
+
+    Raises TrainingError at the first batch whose loss is not finite."""
     model_cfg = params.config
     if train_set.L != model_cfg.L:
         raise ConfigError(f"dataset length {train_set.L} != model length {model_cfg.L}")
@@ -133,29 +158,24 @@ def train(params: ModelParams, train_set: Dataset, test_set: Dataset, cfg: Train
         order = rng.permutation(len(train_set))
         margin_sum = 0.0
         recon_sum = 0.0
-        for lo in range(0, len(order), cfg.batch_size):
-            batch = order[lo : lo + cfg.batch_size]
+        for number, lo in enumerate(range(0, len(order), cfg.batch_size), start=1):
+            batch = [train_set.signals[int(i)] for i in order[lo : lo + cfg.batch_size]]
             params.zero_grad()
-            for idx in batch:
-                sig = train_set.signals[int(idx)]
-                x = Tensor(sig.samples)
-                fwd = model_forward(x, params, model_cfg, mask_class=sig.label)
-                loss_params = LossParams(lam=cfg.lambda_margin)
-                margin = margin_loss(fwd.class_lengths, sig.label, loss_params)
-                recon = mse_loss(fwd.reconstruction, x)
-                loss = T.add(margin, T.scale(recon, cfg.recon_weight))
-                loss.backward()
-                margin_sum += margin.item()
-                recon_sum += recon.item()
+            margin, recon = _backprop_batch(params, batch, cfg, f"epoch {epoch}, batch {number}")
+            margin_sum += margin
+            recon_sum += recon
             scale = 1.0 / len(batch)
-            grads = {
-                name: (p.grad * scale if p.grad is not None else np.zeros_like(p.data))
-                for name, p in params.items()
-            }
+            grads = {}
+            for name, p in params.items():
+                if p.grad is None:
+                    grads[name] = np.zeros_like(p.data)
+                else:
+                    p.grad *= scale
+                    grads[name] = p.grad
             new_tensors, state = adam_step(params.tensors(), grads, state)
             params = params.replace(new_tensors)
-        train_acc, _ = evaluate(params, train_set, workers=eval_workers)
-        test_acc, confusion = evaluate(params, test_set, workers=eval_workers)
+        train_acc, _ = evaluate(params, train_set)
+        test_acc, confusion = evaluate(params, test_set)
         stats = EpochStats(
             epoch=epoch,
             margin_loss=margin_sum / len(train_set),

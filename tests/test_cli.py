@@ -92,6 +92,26 @@ class TestTrainCommand:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_loss_exits_2_without_checkpoint(self, tmp_path, synth_csv, capsys):
+        # negative control: un-normalized 1e200 samples overflow squash to NaN
+        rows = synth_csv.read_text().splitlines()
+        label = rows[0].split(",")[0]
+        rows[0] = label + "," + ",".join(["1e200"] * 32)
+        synth_csv.write_text("\n".join(rows) + "\n")
+        out_dir = tmp_path / "run_nan"
+        cfg_path = smoke_config(tmp_path, synth_csv, out_dir)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["normalize"] = "none"
+        cfg["test_fraction"] = 0.05
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite loss" in err and "epoch 1, batch" in err
+        assert not (out_dir / "model.ckpt").exists()
+        assert not (out_dir / "report.json").exists()
+
     def test_bad_config_key_exits_2(self, tmp_path, synth_csv):
         cfg_path = smoke_config(tmp_path, synth_csv, tmp_path / "run5")
         cfg = json.loads(cfg_path.read_text())

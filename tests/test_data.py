@@ -44,6 +44,14 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match="row 1"):
             load_csv(p)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_sample_names_row_and_column(self, tmp_path, bad):
+        # negative control: these rows used to load and normalize to all-NaN
+        p = tmp_path / "d.csv"
+        p.write_text(f"1,0.5,0.25,3.0\n0,1.0,{bad},2.0\n")
+        with pytest.raises(DataFormatError, match="row 2 column 3"):
+            load_csv(p)
+
     def test_non_integer_label(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("x,1.0,2.0\n")

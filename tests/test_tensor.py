@@ -35,6 +35,15 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             T.add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
 
+    def test_broadcast_bias_gradient_sums_over_batch(self, rng):
+        x = Tensor(rng.standard_normal((4, 3, 2)), requires_grad=True)
+        b = Tensor(rng.standard_normal(2), requires_grad=True)
+        out = T.add(x, b)
+        assert np.array_equal(out.data, x.data + b.data)
+        T.sum_over(T.mul(out, out)).backward()
+        assert np.allclose(b.grad, (2.0 * out.data).sum(axis=(0, 1)))
+        assert np.allclose(x.grad, 2.0 * out.data)
+
     def test_div(self):
         out = T.div(Tensor([4.0, 9.0]), Tensor([2.0, 3.0]))
         assert np.array_equal(out.data, [2.0, 3.0])
@@ -207,6 +216,15 @@ class TestBackward:
         with T.no_grad():
             out = T.mul(x, x)
         assert out.requires_grad is False and out._parents == ()
+
+    def test_interior_nodes_release_grad_after_backward(self, rng):
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        h = T.relu(T.mul(x, x))
+        s = T.sum_over(T.add(h, x))
+        s.backward()
+        assert x.grad is not None
+        for node in (h, s):
+            assert node.grad is None and node._backward is None and node._parents == ()
 
     def test_shared_gradient_buffers_not_aliased(self):
         # add hands the same upstream gradient to both parents; each must own

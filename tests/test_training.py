@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from timecaps.data import Dataset, LabeledSignal
-from timecaps.errors import CheckpointError, ConfigError
+from timecaps.errors import CheckpointError, ConfigError, TrainingError
 from timecaps.model import init_params, model_forward
 from timecaps.optim import AdamState, adam_step
 from timecaps.tensor import Tensor
 from timecaps.training import (
+    EVAL_CHUNK,
     TrainConfig,
     evaluate,
     load_checkpoint,
@@ -74,13 +75,24 @@ class TestEvaluate:
         assert acc1 == acc2
         assert np.array_equal(conf1, conf2)
 
-    def test_worker_pool_matches_sequential(self, tiny_cfg, rng):
+    def test_batched_predictions_match_per_row(self, tiny_cfg, rng):
+        # 21 rows: one full chunk of EVAL_CHUNK plus a partial one
         params = init_params(tiny_cfg, seed=0)
-        ds = small_dataset(rng, tiny_cfg)
-        acc1, conf1 = evaluate(params, ds, workers=1)
-        acc2, conf2 = evaluate(params, ds, workers=2)
-        assert acc1 == acc2
-        assert np.array_equal(conf1, conf2)
+        sigs = [LabeledSignal(rng.standard_normal(tiny_cfg.L), i % 2) for i in range(21)]
+        ds = Dataset(sigs, tiny_cfg.L, 2)
+        assert len(ds) % EVAL_CHUNK != 0 and len(ds) > EVAL_CHUNK
+        per_row = [model_forward(Tensor(sig.samples), params, tiny_cfg).predicted_class()
+                   for sig in sigs]
+        assert len(set(per_row)) == 2  # both classes predicted, so the check has teeth
+        for sig, pred in zip(sigs, per_row):
+            _, one = evaluate(params, Dataset([sig], tiny_cfg.L, 2))
+            assert one[sig.label, pred] == 1
+        expected = np.zeros((2, 2), dtype=int)
+        for sig, pred in zip(sigs, per_row):
+            expected[sig.label, pred] += 1
+        acc, confusion = evaluate(params, ds)
+        assert np.array_equal(confusion, expected)
+        assert acc == np.trace(expected) / len(ds)
 
     def test_empty_dataset_rejected(self, tiny_cfg):
         params = init_params(tiny_cfg, seed=0)
@@ -125,6 +137,48 @@ class TestTrainLoop:
         for a, b in zip(runs[0][1].epochs, runs[1][1].epochs):
             assert a.margin_loss == b.margin_loss
             assert a.test_accuracy == b.test_accuracy
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_loss_raises_naming_epoch_and_batch(self, tiny_cfg, rng):
+        # negative control: a row of huge samples overflows squash to NaN in
+        # whichever batch holds it; training must stop there, not carry NaN
+        # weights on
+        sigs = [LabeledSignal(rng.standard_normal(tiny_cfg.L), c % 2) for c in range(8)]
+        sigs[5] = LabeledSignal(np.full(tiny_cfg.L, 1e200), 1)
+        ds = Dataset(sigs, tiny_cfg.L, 2)
+        order = np.random.default_rng(0).permutation(len(ds))
+        batch = int(np.where(order == 5)[0][0]) // 4 + 1
+        with pytest.raises(TrainingError, match=f"epoch 1, batch {batch}"):
+            train(init_params(tiny_cfg, seed=0), ds, ds, TrainConfig(epochs=2, batch_size=4, seed=0))
+
+    def test_batch_gradient_is_mean_of_example_gradients(self, tiny_cfg, rng):
+        # one epoch of 5 rows in batches of 2 (uneven last batch) must equal
+        # Adam on per-example gradients averaged by hand
+        ds = small_dataset(rng, tiny_cfg, per_class=2)
+        sigs = ds.signals[:3] + ds.signals[2:4]
+        ds = Dataset(sigs, tiny_cfg.L, tiny_cfg.num_classes)
+        tcfg = TrainConfig(epochs=1, batch_size=2, seed=4)
+        out, _ = train(init_params(tiny_cfg, seed=2), ds, ds, tcfg)
+
+        params = init_params(tiny_cfg, seed=2)
+        state = AdamState.for_params(params.tensors(), lr=tcfg.lr)
+        order = np.random.default_rng(tcfg.seed).permutation(len(ds))
+        for lo in range(0, len(order), tcfg.batch_size):
+            batch = order[lo : lo + tcfg.batch_size]
+            grads = {k: np.zeros_like(p.data) for k, p in params.items()}
+            for idx in batch:
+                params.zero_grad()
+                sig = ds.signals[int(idx)]
+                x = Tensor(sig.samples)
+                total_loss(model_forward(x, params, tiny_cfg, mask_class=sig.label),
+                           x, sig.label, tcfg).backward()
+                for k, p in params.items():
+                    if p.grad is not None:
+                        grads[k] += p.grad / len(batch)
+            new_tensors, state = adam_step(params.tensors(), grads, state)
+            params = params.replace(new_tensors)
+        for k in params.names():
+            assert np.allclose(out[k].data, params[k].data, rtol=1e-9, atol=1e-12), k
 
     def test_single_adam_step_usually_decreases_loss(self, tiny_cfg):
         # one bias-corrected step on one example's averaged gradient
