@@ -10,6 +10,14 @@ Squash and routing are fused: each is one tape node with a hand-written
 backward (for routing, the adjoint of the update rules of Sabour et al. 2017,
 "Dynamic Routing Between Capsules").  Every function here accepts an
 optional leading batch axis.
+
+Each routing product is a batched matmul over the (outer, parent) axes that
+reads the votes in whatever memory layout they arrive in: the weighted sum
+is couplings (1, block) @ votes (block, dim), the agreement is votes
+(block, dim) @ output (dim, 1).  The vote gradient is written into a buffer
+with the votes' own strides, so a caller that made the votes as a permuted
+view (the class stage does) reads their gradient through the same view,
+without a transposed copy.
 """
 
 from __future__ import annotations
@@ -115,12 +123,12 @@ def _route(votes: np.ndarray, iterations: int):
     all_logits, all_sums = [], []
     squashed = None
     for it in range(iterations):
-        weighted = np.einsum("prs,prsn->prn", _couplings(logits), votes)
+        weighted = (_couplings(logits)[..., None, :] @ votes)[..., 0, :]
         squashed = _squash(weighted, -1)
         all_logits.append(logits)
         all_sums.append(weighted)
         if it + 1 < iterations:
-            logits = logits + np.einsum("prn,prsn->prs", squashed, votes)
+            logits = logits + (votes @ squashed[..., None])[..., 0]
     return squashed, all_logits, all_sums
 
 
@@ -133,11 +141,12 @@ def _route_backward(votes: np.ndarray, logits: list[np.ndarray], sums: list[np.n
     the logit gradient gb flows unchanged through the additive updates, and
     dv = sum_k c_k (x) dw_k + gb_{k+1} (x) y_k.  The outer products of every
     iteration are stacked and contracted in one matmul per chunk of outer
-    rows, written straight into the gradient buffer.
+    rows, written straight into the gradient buffer, which has the memory
+    layout of ``votes``.
     """
     p_n, r_n, s_n, n_n = votes.shape
     iterations = len(logits)
-    grad = np.empty(votes.shape)
+    grad = np.empty_like(votes, order="K")
     rows = max(1, _ROUTING_CHUNK // (r_n * s_n * n_n))
     for lo in range(0, p_n, rows):
         sl = slice(lo, lo + rows)
@@ -148,13 +157,13 @@ def _route_backward(votes: np.ndarray, logits: list[np.ndarray], sums: list[np.n
         for k in reversed(range(iterations)):
             c, w = _couplings(logits[k][sl]), sums[k][sl]
             if gb is not None:  # b_{k+1} = b_k + <y_k, v>
-                gy = np.einsum("prs,prsn->prn", gb, v)
+                gy = (gb[..., None, :] @ v)[..., 0, :]
                 left.append(gb)
                 right.append(_squash(w, -1))
             gw = _squash_backward(w, gy, -1)
             left.append(c)
             right.append(gw)
-            gc = np.einsum("prn,prsn->prs", gw, v)
+            gc = (v @ gw[..., None])[..., 0]
             gsoft = c * (gc - (gc * c).sum(axis=2, keepdims=True))
             gb = gsoft if gb is None else gb + gsoft
         np.matmul(np.stack(left, axis=-1), np.stack(right, axis=-2), out=grad[sl])

@@ -198,7 +198,7 @@ def cmd_gradcheck(args) -> int:
     failed = [r for r in results if r.max_rel_error >= GRAD_TOLERANCE]
     for r in results:
         status = "ok" if r.max_rel_error < GRAD_TOLERANCE else "FAIL"
-        print(f"{r.name:<14s} max_rel_error={r.max_rel_error:.3e} {status}")
+        print(f"{r.name:<15s} max_rel_error={r.max_rel_error:.3e} {status}")
     if failed:
         worst = max(failed, key=lambda r: r.max_rel_error)
         print(f"gradcheck FAILED: worst component {worst.name} "

@@ -122,6 +122,17 @@ def run_suite(cfg: ModelConfig | None = None, seed: int = 0, h: float = 1e-5,
     lengths = rng.uniform(0.15, 0.85, size=5)
     record("margin_loss", grad_check(lambda t: margin_loss(t, 2, LossParams()), Tensor(lengths), h))
 
+    # the batched class-vote contraction: its adjoints sum one and two labels
+    u = rng.standard_normal((2, 5, 3))
+    w = rng.standard_normal((5, 2, 3, 4))
+    r7 = rng.standard_normal((2, 2, 5, 4))
+    wt = Tensor(w)
+    err = grad_check(lambda t: _weighted_sum(T.contract("zna,ncab->zcnb", t, wt), r7), Tensor(u), h)
+    ut = Tensor(u)
+    err = max(err, grad_check(
+        lambda t: _weighted_sum(T.contract("zna,ncab->zcnb", ut, t), r7), Tensor(w), h))
+    record("contract_batch2", err)
+
     record("full_model", _full_model_check(cfg, seed, h))
     return results
 

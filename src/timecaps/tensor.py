@@ -15,8 +15,10 @@ parameters (a bias of shape (C,) added to (B, L, C) activations).
 
 from __future__ import annotations
 
+import functools
+import math
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -373,30 +375,6 @@ def permute(t: Tensor, order: Iterable[int]) -> Tensor:
     return make_op(np.transpose(t.data, order), (t,), backward)
 
 
-def flatten_leading(t: Tensor, keep_last: int = 1) -> Tensor:
-    """Merge every axis except the trailing ``keep_last`` into a single axis."""
-    if not 0 < keep_last < t.data.ndim:
-        raise ValueError(f"keep_last={keep_last} invalid for ndim {t.data.ndim}")
-    tail = t.shape[-keep_last:]
-    lead = 1
-    for s in t.shape[:-keep_last]:
-        lead *= s
-    return reshape(t, (lead,) + tail)
-
-
-def repeat_axis(t: Tensor, axis: int, times: int) -> Tensor:
-    """Tile a size-1 axis ``times`` times (explicit expand; backward sums)."""
-    axis = axis + t.data.ndim if axis < 0 else axis
-    if t.shape[axis] != 1:
-        raise ShapeError(f"repeat_axis needs extent 1 at axis {axis}, got {t.shape}")
-    data = np.repeat(t.data, times, axis=axis)
-
-    def backward(gout):
-        _accumulate(t, np.asarray(gout).sum(axis=axis, keepdims=True), owned=True)
-
-    return make_op(data, (t,), backward)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ValueError("concat of zero tensors")
@@ -422,37 +400,139 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return make_op(data, tuple(tensors), backward)
 
 
-def contract(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
-    """Binary einsum with recorded gradients, e.g. contract('prs,prsn->prn', k, v).
-
-    Restrictions that keep the adjoint another einsum: no ellipses, no label
-    repeated within one operand, every operand label present in the output or
-    the other operand, every output label present in some operand.
-    """
+@functools.lru_cache(maxsize=64)
+def _parse_spec(subscripts: str) -> tuple[str, str, str]:
+    """Split a binary contraction spec into operand and output labels."""
     try:
         in_spec, out_spec = subscripts.replace(" ", "").split("->")
         a_spec, b_spec = in_spec.split(",")
     except ValueError:
         raise ValueError(f"contract spec must look like 'ab,bc->ac', got {subscripts!r}") from None
-    for spec, operand in ((a_spec, a), (b_spec, b)):
+    for spec in (a_spec, b_spec, out_spec):
         if len(set(spec)) != len(spec):
-            raise ValueError(f"repeated label in operand spec {spec!r}")
-        if len(spec) != operand.data.ndim:
-            raise ShapeError(f"spec {spec!r} does not match operand rank {operand.data.ndim}")
+            raise ValueError(f"repeated label in spec {spec!r}")
     if not set(a_spec) <= set(out_spec) | set(b_spec):
         raise ValueError(f"labels {set(a_spec) - set(out_spec) - set(b_spec)} summed within one operand")
     if not set(b_spec) <= set(out_spec) | set(a_spec):
         raise ValueError(f"labels {set(b_spec) - set(out_spec) - set(a_spec)} summed within one operand")
     if not set(out_spec) <= set(a_spec) | set(b_spec):
         raise ValueError(f"output labels {set(out_spec) - set(a_spec) - set(b_spec)} missing from inputs")
-    data = np.einsum(subscripts, a.data, b.data)
+    return a_spec, b_spec, out_spec
+
+
+class _MatmulPlan(NamedTuple):
+    x_axes: tuple[int, ...]  # transpose of x into (batch..., row, inner)
+    x_expand: tuple  # index adding the unit axes of labels x lacks
+    y_axes: tuple[int, ...]  # transpose of y into (batch..., inner, col)
+    y_expand: tuple
+    sum_axes: tuple[int, ...]  # trailing batch axes of summed labels, reduced after the matmul
+    squeeze: tuple[int, ...]  # unit axes standing in for a missing row or col label
+    out_axes: tuple[int, ...]  # transpose of what is left into the output spec
+    shared: tuple[tuple[int, int], ...]  # (x axis, y axis) of each label both carry
+
+
+@functools.lru_cache(maxsize=256)
+def _matmul_plan(x_spec: str, y_spec: str, out_spec: str,
+                 x_strides: tuple[int, ...], y_strides: tuple[int, ...]) -> _MatmulPlan:
+    """Map each label onto a batch, row, inner (summed) or column axis of one
+    ``np.matmul``.
+
+    Of each kind the label with the smallest stride becomes the matrix axis,
+    so BLAS reads both operands where they lie in memory.  Every other label
+    is a batch axis: a label only one operand carries is broadcast against a
+    unit axis of the other, and an extra summed label is reduced after the
+    matmul.  Batch axes run from the largest stride down, summed ones last.
+    """
+    xs = dict(zip(x_spec, map(abs, x_strides)))
+    ys = dict(zip(y_spec, map(abs, y_strides)))
+    shared = [l for l in x_spec if l in ys]
+    summed = [l for l in shared if l not in out_spec]
+    inner = min(summed, key=xs.__getitem__, default=None)
+    row = min((l for l in x_spec if l not in ys), key=xs.__getitem__, default=None)
+    col = min((l for l in y_spec if l not in xs), key=ys.__getitem__, default=None)
+    batch = sorted((l for l in dict.fromkeys(x_spec + y_spec) if l not in (inner, row, col)),
+                   key=lambda l: (l in summed, -max(xs.get(l, 0), ys.get(l, 0))))
+
+    def operand(spec, labels):
+        axes = tuple(spec.index(l) for l in labels if l is not None and l in spec)
+        expand = tuple(slice(None) if l is not None and l in spec else None for l in labels)
+        return axes, expand
+
+    x_axes, x_expand = operand(x_spec, batch + [row, inner])
+    y_axes, y_expand = operand(y_spec, batch + [inner, col])
+    kept = [l for l in batch if l not in summed] + [row, col]
+    labels = [l for l in kept if l is not None]
+    return _MatmulPlan(
+        x_axes, x_expand, y_axes, y_expand,
+        sum_axes=tuple(i for i, l in enumerate(batch) if l in summed),
+        squeeze=tuple(i for i, l in enumerate(kept) if l is None),
+        out_axes=tuple(labels.index(l) for l in out_spec),
+        shared=tuple((x_spec.index(l), y_spec.index(l)) for l in shared),
+    )
+
+
+# Floats of unsummed matmul product per chunk when a contraction sums over
+# more labels than the one BLAS contracts.
+_SUM_CHUNK = 1 << 16
+
+
+def _matmul_sum(x: np.ndarray, y: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """``np.matmul(x, y).sum(axis=axes)`` for trailing batch ``axes``, one chunk
+    of the leading axis at a time, so the unsummed product stays near
+    _SUM_CHUNK floats instead of growing with the summed extents."""
+    shape = np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (x.shape[-2], y.shape[-1])
+    if axes[0] == 0:
+        return np.matmul(x, y).sum(axis=axes)
+    out = np.empty(shape[: axes[0]] + shape[-2:])
+    rows = max(1, _SUM_CHUNK * shape[0] // max(1, math.prod(shape)))
+    for lo in range(0, shape[0], rows):
+        sl = slice(lo, lo + rows)
+        part = np.matmul(x if x.shape[0] == 1 else x[sl], y if y.shape[0] == 1 else y[sl])
+        part.sum(axis=axes, out=out[sl])
+    return out
+
+
+def _matmul_contract(x_spec: str, y_spec: str, out_spec: str,
+                     x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The einsum ``x_spec,y_spec->out_spec`` of two arrays as one batched
+    matmul over views of them; the result may be a permuted view."""
+    for spec, operand in ((x_spec, x), (y_spec, y)):
+        if len(spec) != operand.ndim:
+            raise ShapeError(f"spec {spec!r} does not match operand rank {operand.ndim}")
+    plan = _matmul_plan(x_spec, y_spec, out_spec, x.strides, y.strides)
+    for i, j in plan.shared:
+        if x.shape[i] != y.shape[j]:
+            raise ShapeError(f"label {x_spec[i]!r} has extent {x.shape[i]} in {x_spec!r} "
+                             f"but {y.shape[j]} in {y_spec!r}")
+    x = x.transpose(plan.x_axes)[plan.x_expand]
+    y = y.transpose(plan.y_axes)[plan.y_expand]
+    out = _matmul_sum(x, y, plan.sum_axes) if plan.sum_axes else np.matmul(x, y)
+    if plan.squeeze:
+        out = out.squeeze(axis=plan.squeeze)
+    return out.transpose(plan.out_axes)
+
+
+def contract(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
+    """Binary einsum with recorded gradients, e.g. contract('zna,ncab->zcnb', u, w).
+
+    The forward and both adjoints each run as one batched ``np.matmul`` on
+    views of the operands in their stored layout (see ``_matmul_plan``;
+    chunked when more than one label is summed), so neither operand nor the
+    incoming gradient is copied into a transposed layout; the result is the
+    matmul output seen through a permuted view.
+    Labels are single characters: none repeated within a spec, every operand
+    label present in the output or the other operand, every output label
+    present in some operand, and shared labels of equal extent.
+    """
+    a_spec, b_spec, out_spec = _parse_spec(subscripts)
+    data = _matmul_contract(a_spec, b_spec, out_spec, a.data, b.data)
 
     def backward(gout):
         g = np.asarray(gout)
         if a.requires_grad:
-            _accumulate(a, np.einsum(f"{out_spec},{b_spec}->{a_spec}", g, b.data), owned=True)
+            _accumulate(a, _matmul_contract(out_spec, b_spec, a_spec, g, b.data), owned=True)
         if b.requires_grad:
-            _accumulate(b, np.einsum(f"{a_spec},{out_spec}->{b_spec}", a.data, g), owned=True)
+            _accumulate(b, _matmul_contract(a_spec, out_spec, b_spec, a.data, g), owned=True)
 
     return make_op(data, (a, b), backward)
 

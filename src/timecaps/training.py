@@ -1,8 +1,9 @@
 """Optimization loop, combined loss, evaluation, and checkpoint I/O.
 
-Checkpoint format: one JSON header line (config plus a tensor manifest of
-name/shape/offset, offsets measured from the start of the binary payload)
-followed by each tensor's raw little-endian float64 data in manifest order.
+Checkpoint format (version 1): one JSON header line (format tag, version,
+config, and a tensor manifest of name/shape/offset, offsets measured from the
+start of the binary payload) followed by each tensor's raw little-endian
+float64 data in manifest order, back to back, with nothing after the last.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .optim import AdamState, adam_step
 from .tensor import Tensor, no_grad
 
 _CHECKPOINT_MAGIC = "timecaps-checkpoint"
+_CHECKPOINT_VERSION = 1
 # Rows per no-grad forward in evaluate().
 EVAL_CHUNK = 16
 
@@ -123,6 +125,8 @@ def _backprop_batch(params: ModelParams, signals, cfg: TrainConfig,
     Leaves the summed per-example gradients in ``params``' grads and returns
     the batch's summed margin and reconstruction losses.  The graph lives
     only inside this call, so it is released before the next batch records.
+    Raises TrainingError on a non-finite loss, or on the first parameter
+    (in ``params`` order) whose gradient is not finite.
     """
     x = _stack(signals)
     labels = np.array([sig.label for sig in signals])
@@ -131,6 +135,10 @@ def _backprop_batch(params: ModelParams, signals, cfg: TrainConfig,
     if not np.isfinite(loss.data):
         raise TrainingError(f"non-finite loss {loss.item()} at {where}")
     loss.backward()
+    for name, p in params.items():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise TrainingError(f"non-finite gradient of {name!r} at {where} "
+                                f"(loss {loss.item():.6g} is finite)")
     with no_grad():  # the two reported terms, read off the same forward
         margin = margin_loss(fwd.class_lengths, labels, LossParams(lam=cfg.lambda_margin))
         recon = mse_loss(fwd.reconstruction, x)
@@ -142,7 +150,8 @@ def train(params: ModelParams, train_set: Dataset, test_set: Dataset, cfg: Train
     """Seeded mini-batch loop: gradients averaged per batch, one Adam step per
     batch, both splits evaluated after every epoch.  Deterministic per seed.
 
-    Raises TrainingError at the first batch whose loss is not finite."""
+    Raises TrainingError at the first batch whose loss or any parameter
+    gradient is not finite."""
     model_cfg = params.config
     if train_set.L != model_cfg.L:
         raise ConfigError(f"dataset length {train_set.L} != model length {model_cfg.L}")
@@ -205,7 +214,7 @@ def save_checkpoint(params: ModelParams, path):
         offset += len(blob)
     header = {
         "format": _CHECKPOINT_MAGIC,
-        "version": 1,
+        "version": _CHECKPOINT_VERSION,
         "config": params.config.to_dict(),
         "tensors": manifest,
     }
@@ -228,6 +237,9 @@ def load_checkpoint(path) -> ModelParams:
         raise CheckpointError(f"{path}: unreadable header ({exc})") from None
     if header.get("format") != _CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (format={header.get('format')!r})")
+    if header.get("version") != _CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('version')!r}, "
+                              f"expected {_CHECKPOINT_VERSION}")
     try:
         config = ModelConfig.from_dict(header["config"])
         manifest = header["tensors"]
@@ -238,16 +250,26 @@ def load_checkpoint(path) -> ModelParams:
     if [m.get("name") for m in manifest] != list(expected):
         raise CheckpointError(f"{path}: tensor manifest does not match the config's parameter set")
     tensors: dict[str, Tensor] = {}
+    stop = 0  # tensors are stored back to back in manifest order
     for m in manifest:
         name = m["name"]
-        shape = tuple(int(s) for s in m["shape"])
+        try:
+            shape = tuple(int(s) for s in m["shape"])
+            start = int(m["offset"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: bad manifest entry for {name!r} ({exc})") from None
         if shape != expected[name]:
             raise CheckpointError(f"{path}: tensor {name!r} has shape {shape}, expected {expected[name]}")
-        count = int(np.prod(shape)) if shape else 1
-        start = int(m["offset"])
-        stop = start + 8 * count
-        if start < 0 or stop > len(payload):
+        if start < stop:
+            raise CheckpointError(f"{path}: tensor {name!r} at offset {start} overlaps the one "
+                                  f"before it, which ends at {stop}")
+        if start > stop:
+            raise CheckpointError(f"{path}: {start - stop}-byte gap before tensor {name!r}")
+        stop = start + 8 * (int(np.prod(shape)) if shape else 1)
+        if stop > len(payload):
             raise CheckpointError(f"{path}: tensor {name!r} payload is truncated")
         data = np.frombuffer(payload[start:stop], dtype="<f8").reshape(shape)
         tensors[name] = Tensor(data.copy(), requires_grad=True)
+    if stop != len(payload):
+        raise CheckpointError(f"{path}: {len(payload) - stop} trailing payload bytes after the last tensor")
     return ModelParams(config, tensors)

@@ -7,6 +7,7 @@ n/(1+n^2), so a unit vector halves and (3,4) maps to (25/26)*(0.6, 0.8).
 import numpy as np
 import pytest
 
+from timecaps import tensor as T
 from timecaps.capsules import (
     LossParams,
     capsule_length,
@@ -135,6 +136,25 @@ class TestRouting:
             dynamic_routing(Tensor(np.zeros((1, 1, 1, 1))), 0)
         with pytest.raises(ValueError):
             routing_oracle(np.zeros((1, 1, 1, 1)), 0)
+
+    def test_vote_gradient_keeps_the_votes_layout(self, rng):
+        # votes stored as (block, parent, outer, dim) and routed through a
+        # transposed view: same output and gradient as the contiguous copy,
+        # and the gradient has the view's strides, so no transposed copy
+        stored = rng.standard_normal((7, 3, 4, 5))
+        view = stored.transpose(2, 1, 0, 3)
+        assert not view.flags.c_contiguous
+        coeffs = Tensor(rng.standard_normal((4, 3, 5)))
+        results = []
+        for votes in (view, np.ascontiguousarray(view)):
+            leaf = Tensor(votes, requires_grad=True)
+            out = dynamic_routing(leaf, 3)
+            T.sum_over(T.mul(out, coeffs)).backward()
+            assert leaf.grad.strides == votes.strides
+            results.append((out.data, leaf.grad))
+        (out_v, grad_v), (out_c, grad_c) = results
+        assert np.max(np.abs(out_v - out_c)) < 1e-12
+        assert np.max(np.abs(grad_v - grad_c)) < 1e-12
 
     def test_logits_start_at_zero(self, rng):
         votes = rng.standard_normal((1, 2, 3, 4))

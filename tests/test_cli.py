@@ -112,6 +112,27 @@ class TestTrainCommand:
         assert not (out_dir / "model.ckpt").exists()
         assert not (out_dir / "report.json").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_gradient_exits_2_without_checkpoint(self, tmp_path, synth_csv, capsys):
+        # negative control: un-normalized 1e100 samples keep the loss finite
+        # but overflow the squash backward to NaN
+        rows = synth_csv.read_text().splitlines()
+        label = rows[0].split(",")[0]
+        rows[0] = label + "," + ",".join(f"{1e100 * np.sin(i):.17g}" for i in range(32))
+        synth_csv.write_text("\n".join(rows) + "\n")
+        out_dir = tmp_path / "run_nan_grad"
+        cfg_path = smoke_config(tmp_path, synth_csv, out_dir)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["normalize"] = "none"
+        cfg["test_fraction"] = 0.05
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite gradient of 'front_kernels' at epoch 1, batch" in err
+        assert not (out_dir / "model.ckpt").exists()
+        assert not (out_dir / "report.json").exists()
+
     def test_bad_config_key_exits_2(self, tmp_path, synth_csv):
         cfg_path = smoke_config(tmp_path, synth_csv, tmp_path / "run5")
         cfg = json.loads(cfg_path.read_text())
@@ -213,7 +234,7 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         lines = [ln for ln in out.splitlines() if "max_rel_error" in ln]
         assert len(lines) >= 6
-        for comp in ("conv1d", "conv2d", "deconv1d", "squash", "routing", "full_model"):
+        for comp in ("conv1d", "conv2d", "deconv1d", "squash", "routing", "contract_batch2", "full_model"):
             assert any(comp in ln for ln in lines)
 
     def test_fault_injection_negative_control(self, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from timecaps import tensor as T
+from timecaps.capsules import dynamic_routing
 from timecaps.errors import ShapeError
 from timecaps.tensor import Tensor
 
@@ -113,20 +114,6 @@ class TestShapeOps:
         with pytest.raises(ValueError):
             T.permute(Tensor(np.ones((2, 3))), (0, 0))
 
-    def test_flatten_leading(self, rng):
-        x = rng.standard_normal((4, 3, 5))
-        out = T.flatten_leading(Tensor(x), keep_last=1)
-        assert out.shape == (12, 5)
-        assert np.array_equal(out.data, x.reshape(12, 5))
-
-    def test_repeat_axis(self):
-        out = T.repeat_axis(Tensor([[1.0], [2.0]]), 1, 3)
-        assert np.array_equal(out.data, [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
-
-    def test_repeat_axis_requires_unit_extent(self):
-        with pytest.raises(ShapeError):
-            T.repeat_axis(Tensor(np.ones((2, 2))), 1, 3)
-
     def test_concat_and_grads(self):
         a = Tensor(np.ones((2, 3)), requires_grad=True)
         b = Tensor(np.zeros((1, 3)), requires_grad=True)
@@ -136,12 +123,97 @@ class TestShapeOps:
         assert np.all(a.grad == 1.0) and np.all(b.grad == 1.0)
 
 
+def strided_operand(rng, shape, transposed):
+    """A random array of ``shape``; when ``transposed``, a non-contiguous view
+    whose memory runs its axes in a random order."""
+    if not transposed:
+        return rng.standard_normal(shape)
+    order = rng.permutation(len(shape))
+    stored = rng.standard_normal(tuple(shape[i] for i in order))
+    return stored.transpose(np.argsort(order))
+
+
+def random_spec(rng):
+    """A binary spec whose labels are batch (both operands and the output),
+    summed (both operands only), or carried by one operand and the output."""
+    labels = "abcdefgh"[: int(rng.integers(1, 7))]
+    roles = rng.integers(0, 4, size=len(labels))  # batch, summed, x-only, y-only
+    x = [l for l, r in zip(labels, roles) if r in (0, 1, 2)]
+    y = [l for l, r in zip(labels, roles) if r in (0, 1, 3)]
+    out = [l for l, r in zip(labels, roles) if r != 1]
+    x, y, out = ("".join(rng.permutation(s)) if s else "" for s in (x, y, out))
+    return f"{x},{y}->{out}"
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want), initial=0.0))
+
+
 class TestContract:
     def test_matches_einsum(self, rng):
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal((4, 5))
         out = T.contract("ij,jk->ik", Tensor(a), Tensor(b))
         assert np.allclose(out.data, a @ b)
+
+    @pytest.mark.parametrize("spec", [
+        "zna,ncab->zcnb",  # class votes: batch n, summed a, z only in x, c and b only in y
+        "zcnb,ncab->zna",  # their capsule adjoint: two summed labels
+        "zna,zcnb->ncab",  # their weight adjoint
+        "na,ncab->cnb",
+        "ij,ij->",  # scalar-like output
+        "i,o->io",  # outer product: nothing summed
+        "ijk,jkl->il",
+        "bij,bjk->bki",
+    ])
+    def test_named_specs_match_einsum(self, rng, spec):
+        ins, _ = spec.split("->")
+        extents = {l: int(rng.integers(1, 6)) for l in set(ins.replace(",", ""))}
+        for transposed in (False, True):
+            a, b = (strided_operand(rng, tuple(extents[l] for l in s), transposed)
+                    for s in ins.split(","))
+            assert_close(T.contract(spec, Tensor(a), Tensor(b)).data, np.einsum(spec, a, b))
+
+    @pytest.mark.parametrize("sum_chunk", [None, 3])
+    def test_random_specs_and_adjoints_match_einsum(self, rng, monkeypatch, sum_chunk):
+        if sum_chunk is not None:  # several chunks whenever more than one label is summed
+            monkeypatch.setattr(T, "_SUM_CHUNK", sum_chunk)
+        for _ in range(200):
+            spec = random_spec(rng)
+            (x_spec, y_spec), out_spec = spec.split("->")[0].split(","), spec.split("->")[1]
+            extents = {l: int(rng.integers(1, 5)) for l in x_spec + y_spec}
+            transposed = bool(rng.integers(2))
+            a, b = (strided_operand(rng, tuple(extents[l] for l in s), transposed)
+                    for s in (x_spec, y_spec))
+            at, bt = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+            out = T.contract(spec, at, bt)
+            assert_close(out.data, np.einsum(spec, a, b))
+            g = strided_operand(rng, out.shape, transposed)
+            T.sum_over(T.mul(out, Tensor(g))).backward()
+            assert_close(at.grad, np.einsum(f"{out_spec},{y_spec}->{x_spec}", g, b))
+            assert_close(bt.grad, np.einsum(f"{x_spec},{out_spec}->{y_spec}", a, g))
+
+    def test_class_votes_keep_the_weight_layout(self, rng):
+        # as in the class stage: the votes are a permuted view of an
+        # (n, c, z, b) array, routing hands back their gradient in that
+        # layout, and the weight gradient comes back in the weights' own
+        u = Tensor(rng.standard_normal((4, 6, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((6, 5, 3, 2)), requires_grad=True)
+        votes = T.contract("zna,ncab->zcnb", u, w)
+        assert votes.data.transpose(2, 1, 0, 3).flags.c_contiguous
+        T.sum_over(dynamic_routing(votes, 3)).backward()
+        assert w.grad.flags.c_contiguous
+
+    def test_rejects_extent_mismatch(self):
+        with pytest.raises(ShapeError):
+            T.contract("ij,jk->ik", Tensor(np.ones((2, 3))), Tensor(np.ones((1, 2))))
+        with pytest.raises(ShapeError):
+            T.contract("bij,bjk->bik", Tensor(np.ones((1, 2, 3))), Tensor(np.ones((4, 3, 2))))
+
+    def test_rejects_rank_mismatch(self):
+        with pytest.raises(ShapeError):
+            T.contract("ij,jk->ik", Tensor(np.ones((2, 3, 1))), Tensor(np.ones((3, 2))))
 
     def test_rejects_internal_sum(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Loss composition, evaluation, the training loop contract, and
 checkpoint round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,20 @@ class TestTrainLoop:
         with pytest.raises(TrainingError, match=f"epoch 1, batch {batch}"):
             train(init_params(tiny_cfg, seed=0), ds, ds, TrainConfig(epochs=2, batch_size=4, seed=0))
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_gradient_raises_naming_epoch_batch_and_tensor(self, tiny_cfg, rng):
+        # negative control: samples of 1e100 keep the loss finite (~1e196) but
+        # overflow the squash backward, so the first gradient is NaN; training
+        # must stop at that batch, not take an Adam step on it
+        sigs = [LabeledSignal(rng.standard_normal(tiny_cfg.L), c % 2) for c in range(8)]
+        sigs[5] = LabeledSignal(1e100 * np.sin(np.arange(tiny_cfg.L)), 1)
+        ds = Dataset(sigs, tiny_cfg.L, 2)
+        order = np.random.default_rng(0).permutation(len(ds))
+        batch = int(np.where(order == 5)[0][0]) // 4 + 1
+        with pytest.raises(TrainingError,
+                           match=f"non-finite gradient of 'front_kernels' at epoch 1, batch {batch} "):
+            train(init_params(tiny_cfg, seed=0), ds, ds, TrainConfig(epochs=2, batch_size=4, seed=0))
+
     def test_batch_gradient_is_mean_of_example_gradients(self, tiny_cfg, rng):
         # one epoch of 5 rows in batches of 2 (uneven last batch) must equal
         # Adam on per-example gradients averaged by hand
@@ -232,6 +248,43 @@ class TestCheckpoint:
         header, _, payload = p.read_bytes().partition(b"\n")
         p.write_bytes(header.replace(b'"front_kernels"', b'"front_kernelz"') + b"\n" + payload)
         with pytest.raises(CheckpointError):
+            load_checkpoint(p)
+
+    @staticmethod
+    def rewrite(path, edit_header=None, payload_suffix=b""):
+        header, _, payload = path.read_bytes().partition(b"\n")
+        header = json.loads(header)
+        if edit_header is not None:
+            edit_header(header)
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload + payload_suffix)
+
+    def saved(self, tiny_cfg, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(tiny_cfg, seed=0), p)
+        return p
+
+    def test_unknown_version(self, tiny_cfg, tmp_path):
+        p = self.saved(tiny_cfg, tmp_path)
+        self.rewrite(p, lambda h: h.update(version=2))
+        with pytest.raises(CheckpointError, match="version 2"):
+            load_checkpoint(p)
+
+    def test_trailing_payload_bytes(self, tiny_cfg, tmp_path):
+        p = self.saved(tiny_cfg, tmp_path)
+        self.rewrite(p, payload_suffix=bytes(8))
+        with pytest.raises(CheckpointError, match="8 trailing payload bytes"):
+            load_checkpoint(p)
+
+    def test_overlapping_offsets(self, tiny_cfg, tmp_path):
+        p = self.saved(tiny_cfg, tmp_path)
+        self.rewrite(p, lambda h: h["tensors"][2].update(offset=h["tensors"][2]["offset"] - 8))
+        with pytest.raises(CheckpointError, match="overlaps"):
+            load_checkpoint(p)
+
+    def test_gap_between_tensors(self, tiny_cfg, tmp_path):
+        p = self.saved(tiny_cfg, tmp_path)
+        self.rewrite(p, lambda h: h["tensors"][2].update(offset=h["tensors"][2]["offset"] + 8))
+        with pytest.raises(CheckpointError, match="gap"):
             load_checkpoint(p)
 
     def test_not_a_checkpoint(self, tmp_path):
