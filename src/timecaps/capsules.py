@@ -53,16 +53,18 @@ class LossParams:
 class RoutingState:
     """Per-iteration routing trace (numpy copies, for inspection and tests)."""
 
-    votes: np.ndarray
-    iterations: int
     logits: list[np.ndarray] = field(default_factory=list)
     couplings: list[np.ndarray] = field(default_factory=list)
     weighted_sums: list[np.ndarray] = field(default_factory=list)
 
 
 def _squash_factor(s2: np.ndarray) -> np.ndarray:
-    """n^2/(1+n^2)/n from the squared norm, finite (zero) at the zero vector."""
-    return s2 / ((s2 + 1.0) * np.sqrt(s2 + _NORM_EPS))
+    """n^2/(1+n^2)/n from the squared norm, finite (zero) at the zero vector.
+
+    Dividing in this order keeps every intermediate at most 1 before the
+    division by n, so the factor is accurate for any finite s2.
+    """
+    return (s2 / (s2 + 1.0)) / np.sqrt(s2 + _NORM_EPS)
 
 
 def _squash(x: np.ndarray, axis: int) -> np.ndarray:
@@ -74,14 +76,17 @@ def _squash_backward(x: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
 
     With s = |x|^2, r = sqrt(s + eps) and f = s / ((1 + s) r), squash(x) = f x,
     so the adjoint is f g + 2 f'(s) <g, x> x, where
-    f'(s) = (s + 2 eps - s^2) / (2 r^3 (1 + s)^2).
+    f'(s) = (s + 2 eps - s^2) / (2 r^3 (1 + s)^2).  With q = 1/(1 + s) the
+    second term is written as (((s q)((1 - s) q) + 2 eps q^2) / r) (<g, x>/r)
+    (x/r), whose factors stay finite for every finite s, where s^2 and r^3
+    alone overflow once |x| passes about 1e77.
     """
     s2 = np.sum(x * x, axis=axis, keepdims=True)
     r = np.sqrt(s2 + _NORM_EPS)
-    onep = s2 + 1.0
-    fprime = (s2 + 2.0 * _NORM_EPS - s2 * s2) / (2.0 * r * r * r * onep * onep)
+    q = 1.0 / (s2 + 1.0)
+    coef = ((s2 * q) * ((1.0 - s2) * q) + 2.0 * _NORM_EPS * q * q) / r
     dot = np.sum(g * x, axis=axis, keepdims=True)
-    return _squash_factor(s2) * g + (2.0 * fprime * dot) * x
+    return _squash_factor(s2) * g + (coef * (dot / r)) * (x / r)
 
 
 def squash(t: Tensor, axis: int = -1) -> Tensor:
@@ -207,8 +212,7 @@ def dynamic_routing_trace(votes: Tensor, iterations: int) -> tuple[Tensor, Routi
     """dynamic_routing plus the per-iteration logits/couplings/sums."""
     out, logits, sums = _routing_node(votes, iterations)
     unflat = lambda a: a.reshape(votes.shape[:-3] + a.shape[1:])
-    state = RoutingState(votes=votes.data.copy(), iterations=iterations,
-                         logits=[unflat(a).copy() for a in logits],
+    state = RoutingState(logits=[unflat(a).copy() for a in logits],
                          couplings=[unflat(_couplings(a)) for a in logits],
                          weighted_sums=[unflat(a).copy() for a in sums])
     return out, state

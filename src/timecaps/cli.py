@@ -56,8 +56,6 @@ class RunConfig:
             if unknown:
                 raise ConfigError(f"unknown {name} config keys: {sorted(unknown)}")
         train_cfg = TrainConfig(**train_raw)
-        if "routing_iters" not in model_raw:
-            model_raw["routing_iters"] = train_cfg.routing_iters
         model_cfg = ModelConfig.from_dict(model_raw)
         cfg = cls(
             model=model_cfg,

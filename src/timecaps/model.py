@@ -306,15 +306,15 @@ def front_conv(x: Tensor, params: ModelParams, cfg: ModelConfig) -> Tensor:
 
 def cell_a_forward(phi: Tensor, params: ModelParams, cfg: ModelConfig) -> Tensor:
     """Channel-sliced capsules: primary capsules along the feature axis vote
-    (via a strided 2D convolution) for next-layer feature-map bundles, which
-    are then routed over the primary channel blocks."""
+    (one kernel slid along time over each primary capsule's block of the
+    feature axis) for next-layer feature-map bundles, which are then routed
+    over the primary channel blocks."""
     lead = phi.shape[:-2]
     length, fa = cfg.L, cfg.c_p * cfg.a_p
     feats = conv1d(phi, params["cell_a_conv"], stride=1, pad="same")  # (L, c_p*a_p)
     primary = squash(T.reshape(feats, lead + (length, cfg.c_p, cfg.a_p)), axis=-1)
     stacked = T.reshape(primary, lead + (length, fa, 1))
-    votes = conv2d(stacked, params["cell_a_votes"], stride_h=1, stride_w=cfg.a_p)
-    # width sweep yields (fa - a_p)/a_p + 1 == c_p positions
+    votes = conv2d(stacked, params["cell_a_votes"])  # one width-a_p block per primary capsule
     votes = T.reshape(votes, lead + (length, cfg.c_p, cfg.c_sa, cfg.a_sa))
     k = len(lead)
     votes = T.permute(votes, tuple(range(k)) + (k, k + 2, k + 1, k + 3))  # block axis = c_p
@@ -333,7 +333,7 @@ def cell_b_forward(phi: Tensor, params: ModelParams, cfg: ModelConfig) -> Tensor
     feats = conv1d(reduced, params["cell_b_conv"], stride=1, pad="same")  # (L, c_b*a_b)
     primary = squash(T.reshape(feats, lead + (segments, n, fb)), axis=-1)
     stacked = T.reshape(primary, lead + (segments, n * fb, 1))
-    votes = conv2d(stacked, params["cell_b_votes"], stride_h=1, stride_w=fb)
+    votes = conv2d(stacked, params["cell_b_votes"])  # one width-fb block per segment sample
     votes = T.reshape(votes, lead + (segments, n, cfg.c_sb, cfg.a_sb))
     k = len(lead)
     votes = T.permute(votes, tuple(range(k)) + (k, k + 2, k + 1, k + 3))  # block axis = n

@@ -71,12 +71,6 @@ class Tensor:
             raise ValueError(f"item() requires a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def backward(self):
         """Accumulate d(self)/d(leaf) into every grad-enabled leaf.
 
@@ -144,14 +138,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
 
 def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False):
@@ -270,17 +256,6 @@ def relu(t: Tensor) -> Tensor:
     return make_op(np.where(mask, t.data, 0.0), (t,), backward)
 
 
-def sigmoid(t: Tensor) -> Tensor:
-    x = t.data
-    # split by sign to avoid overflow in exp
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def backward(gout):
-        _accumulate(t, gout * out * (1.0 - out), owned=True)
-
-    return make_op(out, (t,), backward)
-
-
 def sqrt(t: Tensor) -> Tensor:
     out = np.sqrt(t.data)
 
@@ -322,21 +297,6 @@ def sum_over(t: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     def backward(gout):
         g = _restore_keepdims(np.asarray(gout), axes_n, keepdims, t.shape)
         _accumulate(t, np.broadcast_to(g, t.shape))
-
-    return make_op(data, (t,), backward)
-
-
-def max_over(t: Tensor, axes=None, keepdims: bool = False) -> Tensor:
-    axes_n = _normalize_axes(axes, t.data.ndim)
-    kept = t.data.max(axis=axes_n, keepdims=True)
-    data = kept if keepdims else kept.reshape(
-        tuple(s for i, s in enumerate(t.shape) if i not in axes_n))
-
-    def backward(gout):
-        g = _restore_keepdims(np.asarray(gout), axes_n, keepdims, t.shape)
-        mask = t.data == kept
-        count = mask.sum(axis=axes_n, keepdims=True)
-        _accumulate(t, mask * (g / count), owned=True)  # ties share the gradient equally
 
     return make_op(data, (t,), backward)
 
@@ -535,22 +495,3 @@ def contract(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, _matmul_contract(a_spec, out_spec, b_spec, a.data, g), owned=True)
 
     return make_op(data, (a, b), backward)
-
-
-def softmax_axis(t: Tensor, axes) -> Tensor:
-    """Softmax over the given axes, max-shifted for stability.
-
-    The outputs are positive and sum to one over ``axes`` at every remaining
-    index; the result is invariant to adding a constant along those axes.
-    """
-    axes_n = _normalize_axes(axes, t.data.ndim)
-    shifted = t.data - t.data.max(axis=axes_n, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axes_n, keepdims=True)
-
-    def backward(gout):
-        g = np.asarray(gout)
-        inner = (g * y).sum(axis=axes_n, keepdims=True)
-        _accumulate(t, y * (g - inner), owned=True)
-
-    return make_op(y, (t,), backward)

@@ -36,7 +36,6 @@ class TrainConfig:
     recon_weight: float = 0.0005
     batch_size: int = 16
     seed: int = 0
-    routing_iters: int = 3
     lr_decay: float = 1.0  # per-epoch multiplier; 1.0 disables decay
 
     def __post_init__(self):

@@ -96,7 +96,7 @@ def test_ops_batch_axis_matches_loop(rng):
     caps = rng.standard_normal((3, 4, 6))
     cases = [
         (lambda t: conv1d(t, k1, 2, "same"), x1),
-        (lambda t: conv2d(t, k2, 1, 4), x2),
+        (lambda t: conv2d(t, k2), x2),
         (lambda t: deconv1d(t, kd, 2), xd),
         (lambda t: dynamic_routing(t, 3), votes),
         (lambda t: squash(t, -1), caps),

@@ -4,11 +4,15 @@ Closed-form expectations: squash multiplies a vector of norm n by
 n/(1+n^2), so a unit vector halves and (3,4) maps to (25/26)*(0.6, 0.8).
 """
 
+import decimal
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
 from timecaps import tensor as T
 from timecaps.capsules import (
+    _NORM_EPS,
     LossParams,
     capsule_length,
     dynamic_routing,
@@ -76,6 +80,33 @@ class TestSquash:
         moved = np.moveaxis(squash(Tensor(np.moveaxis(v, 1, -1)), axis=-1).data, -1, 1)
         assert np.allclose(out0, moved, atol=1e-12)
 
+
+    @pytest.mark.parametrize("norm", [1e-20, 1.0, 1e80, 1e100, 1e120, 1e150])
+    def test_output_and_gradient_match_exact_reference(self, rng, norm):
+        # decimal arithmetic has no overflow: the float64 squash and its
+        # backward must stay finite and accurate wherever the forward is,
+        # including squared norms far past where s^2 and r^3 overflow
+        x = rng.standard_normal(4)
+        x *= norm / np.linalg.norm(x)
+        g = rng.standard_normal(4)
+        xt = Tensor(x, requires_grad=True)
+        out = squash(xt, axis=-1)
+        T.sum_over(T.mul(out, Tensor(g))).backward()
+
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            xd, gd = [Decimal(v) for v in x], [Decimal(v) for v in g]
+            eps = Decimal(_NORM_EPS)
+            s = sum(v * v for v in xd)
+            r = (s + eps).sqrt()
+            f = s / ((1 + s) * r)
+            fprime = (s + 2 * eps - s * s) / (2 * r ** 3 * (1 + s) ** 2)
+            dot = sum(a * b for a, b in zip(gd, xd))
+            want_out = np.array([float(f * v) for v in xd])
+            want_grad = np.array([float(f * a + 2 * fprime * dot * b) for a, b in zip(gd, xd)])
+        assert np.all(np.isfinite(xt.grad))
+        assert np.max(np.abs(out.data - want_out)) <= 1e-13 * np.max(np.abs(want_out))
+        assert np.max(np.abs(xt.grad - want_grad)) <= 1e-13 * np.max(np.abs(want_grad))
 
 class TestCapsuleLength:
     def test_three_four_five(self):

@@ -112,10 +112,12 @@ class TestTrainCommand:
         assert not (out_dir / "model.ckpt").exists()
         assert not (out_dir / "report.json").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.usefixtures("inf_front_conv_gradient")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the conv backward
     def test_non_finite_gradient_exits_2_without_checkpoint(self, tmp_path, synth_csv, capsys):
-        # negative control: un-normalized 1e100 samples keep the loss finite
-        # but overflow the squash backward to NaN
+        # negative control: un-normalized 1e100 samples keep the loss finite,
+        # and the patched front convolution's backward makes the gradient of
+        # its kernels inf in their batch
         rows = synth_csv.read_text().splitlines()
         label = rows[0].split(",")[0]
         rows[0] = label + "," + ",".join(f"{1e100 * np.sin(i):.17g}" for i in range(32))
@@ -139,6 +141,19 @@ class TestTrainCommand:
         cfg["model"]["unknown_knob"] = 1
         cfg_path.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(cfg_path)]) == 2
+
+    def test_routing_iters_is_a_model_key_only(self, tmp_path, synth_csv, capsys):
+        # model.routing_iters is the one source; a train section copy is an
+        # unknown key, not a second default that could disagree with it
+        out_dir = tmp_path / "run6"
+        cfg_path = smoke_config(tmp_path, synth_csv, out_dir)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["train"]["routing_iters"] = 2
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert "unknown train config keys: ['routing_iters']" in capsys.readouterr().err
+        assert not (out_dir / "model.ckpt").exists()
 
 
 class TestEvalCommand:

@@ -8,6 +8,7 @@ vectorized implementations.
 import numpy as np
 import pytest
 
+from timecaps import tensor as T
 from timecaps.conv import conv1d, conv2d, deconv1d
 from timecaps.errors import ShapeError
 from timecaps.tensor import Tensor
@@ -106,34 +107,34 @@ class TestConv1d:
 
 class TestConv2d:
     def test_channel_sweep_count(self, rng):
-        # width 32 swept by a width-8 kernel at stride 8 -> 4 positions
+        # width 32 cut into width-8 blocks -> 4 positions
         x = Tensor(rng.standard_normal((6, 32, 1)))
         k = Tensor(rng.standard_normal((10, 3, 8)))
-        out = conv2d(x, k, stride_h=1, stride_w=8)
-        assert out.shape == (6, (32 - 8) // 8 + 1, 10)
+        out = conv2d(x, k)
+        assert out.shape == (6, 32 // 8, 10)
         assert out.shape[1] == 4
 
     def test_one_by_one_identity(self):
         x = Tensor(np.array([[[3.5]]]))
         k = Tensor(np.ones((1, 1, 1)))
-        out = conv2d(x, k, 1, 1)
+        out = conv2d(x, k)
         assert out.data[0, 0, 0] == 3.5
 
     def test_shape_arithmetic(self, rng):
         x = Tensor(rng.standard_normal((8, 12, 1)))
         k = Tensor(rng.standard_normal((6, 3, 4)))
-        assert conv2d(x, k, stride_h=1, stride_w=4).shape == (8, 3, 6)
+        assert conv2d(x, k).shape == (8, 3, 6)
 
     def test_inexact_sweep_rejected(self):
-        x = Tensor(np.ones((4, 10, 1)))
         k = Tensor(np.ones((2, 3, 4)))
-        with pytest.raises(ShapeError):
-            conv2d(x, k, stride_h=1, stride_w=4)  # (10-4) % 4 != 0
+        for width in (10, 3):  # 10 % 4 != 0; a kernel wider than the map
+            with pytest.raises(ShapeError, match="not a multiple of kernel width 4"):
+                conv2d(Tensor(np.ones((4, width, 1))), k)
 
     def test_matches_windowed_oracle(self, rng):
         x = rng.standard_normal((5, 8, 1))
         k = rng.standard_normal((3, 3, 4))
-        out = conv2d(Tensor(x), Tensor(k), 1, 4).data
+        out = conv2d(Tensor(x), Tensor(k)).data
         xp = np.pad(x[:, :, 0], ((1, 1), (0, 0)))  # gh=3 same padding
         for h in range(5):
             for w in range(2):
@@ -144,6 +145,25 @@ class TestConv2d:
                             acc += xp[h + u, 4 * w + v] * k[o, u, v]
                     assert out[h, w, o] == pytest.approx(acc, abs=1e-12)
 
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["unbatched", "batched"])
+    def test_equals_conv1d_per_width_block(self, rng, lead):
+        # conv2d is conv1d (same padding) applied to each width block, with
+        # the block's gw columns as input channels; gradients included
+        x = rng.standard_normal(lead + (7, 12, 1))
+        k = rng.standard_normal((5, 3, 4))
+        cot = rng.standard_normal(lead + (7, 3, 5))
+        xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+        out = conv2d(xt, kt)
+        T.sum_over(T.mul(out, Tensor(cot))).backward()
+        kb = Tensor(k, requires_grad=True)
+        for m in range(3):
+            xm = Tensor(x[..., 4 * m : 4 * m + 4, 0], requires_grad=True)
+            om = conv1d(xm, kb, 1, "same")
+            assert np.allclose(out.data[..., m, :], om.data, rtol=1e-13, atol=1e-13)
+            T.sum_over(T.mul(om, Tensor(cot[..., m, :]))).backward()
+            assert np.allclose(xt.grad[..., 4 * m : 4 * m + 4, 0], xm.grad, rtol=1e-13, atol=1e-13)
+        assert np.allclose(kt.grad, kb.grad, rtol=1e-13, atol=1e-13)
 
 class TestDeconv1d:
     def test_single_site_scatter(self):
@@ -185,8 +205,6 @@ class TestDeconv1d:
         k = Tensor(rng.standard_normal((3, 3, 2)))
         y = rng.standard_normal((5, 3))
         out = conv1d(x, k, 1, "valid")
-        from timecaps import tensor as T
-
         T.sum_over(T.mul(out, Tensor(y))).backward()
         scattered = deconv1d(Tensor(y), k, stride=1).data
         assert np.allclose(x.grad, scattered, atol=1e-12)

@@ -1,4 +1,5 @@
-"""Elementwise, reduction, shape, and softmax behavior of the tensor engine."""
+"""Elementwise, reduction and shape behavior of the tensor engine, and the
+softmax behind the routing couplings."""
 
 import math
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from timecaps import tensor as T
-from timecaps.capsules import dynamic_routing
+from timecaps.capsules import _couplings, dynamic_routing
 from timecaps.errors import ShapeError
 from timecaps.tensor import Tensor
 
@@ -23,14 +24,6 @@ class TestElementwise:
     def test_relu(self):
         out = T.relu(Tensor([-1.0, 0.0, 2.0]))
         assert np.array_equal(out.data, [0.0, 0.0, 2.0])
-
-    def test_sigmoid_at_zero(self):
-        assert T.sigmoid(Tensor([0.0])).data[0] == 0.5
-
-    def test_sigmoid_extremes_finite(self):
-        out = T.sigmoid(Tensor([-1000.0, 1000.0])).data
-        assert np.all(np.isfinite(out))
-        assert out[0] < 1e-300 and out[1] == 1.0
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -56,7 +49,7 @@ class TestElementwise:
 
     def test_finite_outputs_on_finite_inputs(self, rng):
         x = Tensor(rng.standard_normal((5, 4)) * 100)
-        for op in (T.relu, T.sigmoid, lambda t: T.mul(t, t), T.neg):
+        for op in (T.relu, lambda t: T.mul(t, t), T.neg):
             assert np.all(np.isfinite(op(x).data))
 
 
@@ -82,9 +75,6 @@ class TestReduce:
     def test_sum_axis(self):
         out = T.sum_over(Tensor([[1.0, 2.0], [3.0, 4.0]]), axes=(1,))
         assert np.array_equal(out.data, [3.0, 7.0])
-
-    def test_max(self):
-        assert T.max_over(Tensor([-5.0, 2.0])).item() == 2.0
 
     def test_keepdims(self):
         out = T.sum_over(Tensor(np.ones((2, 3))), axes=(1,), keepdims=True)
@@ -225,31 +215,24 @@ class TestContract:
 
 
 class TestSoftmax:
+    """The engine has no softmax op; routing's couplings are the one softmax,
+    taken over the block axis (axis 2) of (outer, parent, block) logits."""
+
     def test_uniform_on_zero_logits(self):
-        out = T.softmax_axis(T.zeros((4,)), axes=(0,))
-        assert np.allclose(out.data, 0.25, atol=1e-15)
+        assert np.allclose(_couplings(np.zeros((1, 1, 4))), 0.25, atol=1e-15)
 
     def test_closed_form(self):
-        out = T.softmax_axis(Tensor([0.0, math.log(3.0)]), axes=(0,))
-        assert np.allclose(out.data, [0.25, 0.75], atol=1e-15)
+        out = _couplings(np.array([[[0.0, math.log(3.0)]]]))
+        assert np.allclose(out, [0.25, 0.75], atol=1e-15)
 
     def test_sums_to_one(self, rng):
-        x = Tensor(rng.standard_normal((5, 6, 7)) * 10)
-        out = T.softmax_axis(x, axes=(1,))
-        sums = out.data.sum(axis=1)
-        assert np.all(np.abs(sums - 1.0) < 1e-12)
-        assert np.all(out.data > 0)
+        out = _couplings(rng.standard_normal((5, 6, 7)) * 10)
+        assert np.all(np.abs(out.sum(axis=2) - 1.0) < 1e-12)
+        assert np.all(out > 0)
 
     def test_shift_invariance(self, rng):
-        x = rng.standard_normal((3, 8))
-        a = T.softmax_axis(Tensor(x), axes=(1,)).data
-        b = T.softmax_axis(Tensor(x + 123.456), axes=(1,)).data
-        assert np.all(np.abs(a - b) < 1e-12)
-
-    def test_multi_axis(self, rng):
-        x = Tensor(rng.standard_normal((2, 3, 4)))
-        out = T.softmax_axis(x, axes=(0, 2))
-        assert np.allclose(out.data.sum(axis=(0, 2)), 1.0, atol=1e-12)
+        x = rng.standard_normal((3, 1, 8))
+        assert np.all(np.abs(_couplings(x) - _couplings(x + 123.456)) < 1e-12)
 
 
 class TestBackward:

@@ -153,11 +153,13 @@ class TestTrainLoop:
         with pytest.raises(TrainingError, match=f"epoch 1, batch {batch}"):
             train(init_params(tiny_cfg, seed=0), ds, ds, TrainConfig(epochs=2, batch_size=4, seed=0))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.usefixtures("inf_front_conv_gradient")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the conv backward
     def test_non_finite_gradient_raises_naming_epoch_batch_and_tensor(self, tiny_cfg, rng):
-        # negative control: samples of 1e100 keep the loss finite (~1e196) but
-        # overflow the squash backward, so the first gradient is NaN; training
-        # must stop at that batch, not take an Adam step on it
+        # negative control: the batch holding the row of 1e100 samples keeps a
+        # finite loss (~1e196), but the patched front convolution's backward
+        # makes the gradient of its kernels inf; training must stop at that
+        # batch, not take an Adam step on it
         sigs = [LabeledSignal(rng.standard_normal(tiny_cfg.L), c % 2) for c in range(8)]
         sigs[5] = LabeledSignal(1e100 * np.sin(np.arange(tiny_cfg.L)), 1)
         ds = Dataset(sigs, tiny_cfg.L, 2)
@@ -311,7 +313,6 @@ class TestTrainConfigValidation:
         assert cfg.lr == 0.001
         assert cfg.lambda_margin == 0.5
         assert cfg.recon_weight == 0.0005
-        assert cfg.routing_iters == 3
 
     def test_bad_lambda(self):
         with pytest.raises(ConfigError):
