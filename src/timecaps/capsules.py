@@ -274,7 +274,7 @@ def margin_loss(lengths: Tensor, true_class, params: LossParams = LossParams()) 
     absent = T.relu(T.sub(lengths, float(params.m_minus)))
     terms = T.add(
         T.mul(Tensor(onehot), T.mul(present, present)),
-        T.scale(T.mul(Tensor(1.0 - onehot), T.mul(absent, absent)), params.lam),
+        T.mul(T.mul(Tensor(1.0 - onehot), T.mul(absent, absent)), params.lam),
     )
     return T.sum_over(terms, axes=-1)
 

@@ -21,11 +21,22 @@ import numpy as np
 from .data import Dataset, filter_min_class_count, load_csv, normalize, save_csv, split, synth_waveforms
 from .errors import CheckpointError, ConfigError, DataFormatError, ShapeError, TrainingError
 from .gradcheck import run_suite
-from .model import ModelConfig, init_params, model_forward
+from .model import ModelConfig, ModelParams, init_params, model_forward
 from .tensor import Tensor, no_grad
 from .training import TrainConfig, evaluate, load_checkpoint, save_checkpoint, train
 
 GRAD_TOLERANCE = 1e-4
+
+
+def _convert(raw: dict, key: str, kind: type, default):
+    """``kind(raw[key])`` (or of ``default``), as a ConfigError naming the key
+    when the value does not convert."""
+    value = raw.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
 
 
 @dataclass
@@ -47,25 +58,22 @@ class RunConfig:
                 raw = json.load(fh)
             if not isinstance(raw, dict):
                 raise ConfigError(f"{path}: config root must be a JSON object")
-        model_raw = dict(raw.get("model", {}))
-        train_raw = dict(raw.get("train", {}))
-        known_model = {f.name for f in fields(ModelConfig)}
-        known_train = {f.name for f in fields(TrainConfig)}
-        for section, known, name in ((model_raw, known_model, "model"), (train_raw, known_train, "train")):
-            unknown = set(section) - known
-            if unknown:
-                raise ConfigError(f"unknown {name} config keys: {sorted(unknown)}")
-        train_cfg = TrainConfig(**train_raw)
-        model_cfg = ModelConfig.from_dict(model_raw)
+        train_raw = raw.get("train", {})
+        if not isinstance(train_raw, dict):
+            raise ConfigError(f"train config must be a JSON object, got {train_raw!r}")
+        unknown = set(train_raw) - {f.name for f in fields(TrainConfig)}
+        if unknown:
+            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
+        split_seed = raw.get("split_seed")
         cfg = cls(
-            model=model_cfg,
-            train=train_cfg,
+            model=ModelConfig.from_dict(raw.get("model", {})),
+            train=TrainConfig(**train_raw),
             data=raw.get("data"),
             out=raw.get("out", "."),
             normalize=raw.get("normalize", "zscore"),
-            test_fraction=float(raw.get("test_fraction", 0.25)),
-            split_seed=raw.get("split_seed"),
-            min_class_count=int(raw.get("min_class_count", 0)),
+            test_fraction=_convert(raw, "test_fraction", float, 0.25),
+            split_seed=None if split_seed is None else _convert(raw, "split_seed", int, None),
+            min_class_count=_convert(raw, "min_class_count", int, 0),
         )
         if getattr(overrides, "epochs", None) is not None:
             cfg.train.epochs = overrides.epochs
@@ -75,6 +83,9 @@ class RunConfig:
             cfg.data = overrides.data
         if getattr(overrides, "out", None) is not None:
             cfg.out = overrides.out
+        for key in ("data", "out"):
+            if not isinstance(getattr(cfg, key), (str, type(None))):
+                raise ConfigError(f"{key} must be a path string, got {getattr(cfg, key)!r}")
         if cfg.normalize not in ("zscore", "minmax", "none"):
             raise ConfigError(f"normalize must be zscore|minmax|none, got {cfg.normalize!r}")
         if not 0.0 < cfg.test_fraction < 1.0:
@@ -141,7 +152,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def _inference_setup(args) -> tuple[ModelParams, Dataset, Path]:
+    """Checkpoint, normalized dataset of matching length, and a clean output
+    directory for ``eval`` and ``reconstruct``."""
     params = load_checkpoint(args.checkpoint)
     dataset = load_csv(args.data, num_classes=params.config.num_classes)
     if dataset.L != params.config.L:
@@ -150,6 +163,11 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _clean_partials(out_dir)
+    return params, dataset, out_dir
+
+
+def cmd_eval(args) -> int:
+    params, dataset, out_dir = _inference_setup(args)
     accuracy, confusion = evaluate(params, dataset)
     _write_confusion(out_dir / "confusion.csv", confusion)
     print(f"accuracy={accuracy:.4f}")
@@ -157,20 +175,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    params = load_checkpoint(args.checkpoint)
-    dataset = load_csv(args.data, num_classes=params.config.num_classes)
-    if dataset.L != params.config.L:
-        raise ConfigError(f"dataset signal length {dataset.L} != checkpoint L {params.config.L}")
-    dataset = _maybe_normalize(dataset, args.normalize)
     k = args.k
     if k < 1:
         raise ConfigError(f"--k must be >= 1, got {k}")
+    params, dataset, out_dir = _inference_setup(args)
     if k > len(dataset):
         warnings.warn(f"--k {k} exceeds dataset size {len(dataset)}; clamping")
         k = len(dataset)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _clean_partials(out_dir)
     picks = np.random.default_rng(args.seed).permutation(len(dataset))[:k]
     for i, idx in enumerate(sorted(int(j) for j in picks)):
         sig = dataset.signals[idx]
@@ -190,13 +201,15 @@ def cmd_gradcheck(args) -> int:
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{args.config}: config root must be a JSON object")
         cfg = ModelConfig.from_dict(raw.get("model", raw))
     corrupt = getattr(args, "inject_fault", None)
     results = run_suite(cfg, seed=args.seed or 0, corrupt=corrupt)
     failed = [r for r in results if r.max_rel_error >= GRAD_TOLERANCE]
     for r in results:
         status = "ok" if r.max_rel_error < GRAD_TOLERANCE else "FAIL"
-        print(f"{r.name:<15s} max_rel_error={r.max_rel_error:.3e} {status}")
+        print(f"{r.name:<14s} max_rel_error={r.max_rel_error:.3e} {status}")
     if failed:
         worst = max(failed, key=lambda r: r.max_rel_error)
         print(f"gradcheck FAILED: worst component {worst.name} "

@@ -56,6 +56,14 @@ def _weighted_sum(t: Tensor, coeffs: np.ndarray) -> Tensor:
     return T.sum_over(T.mul(t, Tensor(coeffs)))
 
 
+def _both_operands(op: Callable[[Tensor, Tensor], Tensor], x: np.ndarray, k: np.ndarray,
+                   coeffs: np.ndarray, h: float) -> float:
+    """Worst error of ``op(x, k)`` weighted by ``coeffs``, over both operands."""
+    xt, kt = Tensor(x), Tensor(k)
+    err = grad_check(lambda t: _weighted_sum(op(t, kt), coeffs), xt, h)
+    return max(err, grad_check(lambda t: _weighted_sum(op(xt, t), coeffs), kt, h))
+
+
 def run_suite(cfg: ModelConfig | None = None, seed: int = 0, h: float = 1e-5,
               corrupt: str | None = None) -> list[ComponentCheck]:
     """Gradient-check every component; ``corrupt`` names a component whose
@@ -69,33 +77,21 @@ def run_suite(cfg: ModelConfig | None = None, seed: int = 0, h: float = 1e-5,
             err += 1.0
         results.append(ComponentCheck(name, err))
 
-    # conv1d: check both the input and the kernel side.
+    # two-operand ops: check both the input and the kernel side.
     x = rng.standard_normal((10, 3))
     k = rng.standard_normal((4, 3, 3))
     r1 = rng.standard_normal((10, 4))
-    kt = Tensor(k)
-    err = grad_check(lambda t: _weighted_sum(conv1d(t, kt, 1, "same"), r1), Tensor(x), h)
-    xt = Tensor(x)
-    err = max(err, grad_check(lambda t: _weighted_sum(conv1d(xt, t, 1, "same"), r1), Tensor(k), h))
-    record("conv1d", err)
+    record("conv1d", _both_operands(lambda a, b: conv1d(a, b, 1, "same"), x, k, r1, h))
 
     x = rng.standard_normal((6, 8, 1))
     k = rng.standard_normal((5, 3, 4))
     r2 = rng.standard_normal((6, 2, 5))
-    kt = Tensor(k)
-    err = grad_check(lambda t: _weighted_sum(conv2d(t, kt), r2), Tensor(x), h)
-    xt = Tensor(x)
-    err = max(err, grad_check(lambda t: _weighted_sum(conv2d(xt, t), r2), Tensor(k), h))
-    record("conv2d", err)
+    record("conv2d", _both_operands(conv2d, x, k, r2, h))
 
     x = rng.standard_normal((5, 3))
     k = rng.standard_normal((3, 4, 2))
     r3 = rng.standard_normal((2 * 4 + 4, 2))
-    kt = Tensor(k)
-    err = grad_check(lambda t: _weighted_sum(deconv1d(t, kt, 2), r3), Tensor(x), h)
-    xt = Tensor(x)
-    err = max(err, grad_check(lambda t: _weighted_sum(deconv1d(xt, t, 2), r3), Tensor(k), h))
-    record("deconv1d", err)
+    record("deconv1d", _both_operands(lambda a, b: deconv1d(a, b, 2), x, k, r3, h))
 
     x = rng.standard_normal((4, 6)) + 0.5
     r4 = rng.standard_normal((4, 6))
@@ -118,16 +114,12 @@ def run_suite(cfg: ModelConfig | None = None, seed: int = 0, h: float = 1e-5,
     lengths = rng.uniform(0.15, 0.85, size=5)
     record("margin_loss", grad_check(lambda t: margin_loss(t, 2, LossParams()), Tensor(lengths), h))
 
-    # the batched class-vote contraction: its adjoints sum one and two labels
-    u = rng.standard_normal((2, 5, 3))
+    # the class votes' shapes: capsule rows (N, 1, B, a) broadcast against
+    # (N, classes, a, b) transforms, so their adjoint sums over the classes
+    u = rng.standard_normal((5, 1, 2, 3))
     w = rng.standard_normal((5, 2, 3, 4))
-    r7 = rng.standard_normal((2, 2, 5, 4))
-    wt = Tensor(w)
-    err = grad_check(lambda t: _weighted_sum(T.contract("zna,ncab->zcnb", t, wt), r7), Tensor(u), h)
-    ut = Tensor(u)
-    err = max(err, grad_check(
-        lambda t: _weighted_sum(T.contract("zna,ncab->zcnb", ut, t), r7), Tensor(w), h))
-    record("contract_batch2", err)
+    r7 = rng.standard_normal((5, 2, 2, 4))
+    record("matmul_batch2", _both_operands(T.matmul, u, w, r7, h))
 
     record("full_model", _full_model_check(cfg, seed, h))
     return results

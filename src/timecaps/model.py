@@ -17,7 +17,8 @@ needs); ``model_forward`` adds the decoder's reconstruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -28,6 +29,16 @@ from .errors import ConfigError, ShapeError
 from .tensor import Tensor
 
 DeconvSpec = tuple[int, int, int]  # (out channels, kernel width, stride)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _integer(value) -> int:
+    if not _is_integer(value):
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
 
 
 @dataclass
@@ -65,8 +76,15 @@ class ModelConfig:
     decoder_deconv: tuple[DeconvSpec, ...] = ((128, 4, 2), (64, 4, 2), (32, 4, 2), (16, 6, 2), (1, 1, 1))
 
     def __post_init__(self):
-        self.decoder_fc = tuple(int(v) for v in self.decoder_fc)
-        self.decoder_deconv = tuple(tuple(int(v) for v in spec) for spec in self.decoder_deconv)
+        try:
+            self.decoder_fc = tuple(_integer(v) for v in self.decoder_fc)
+        except TypeError:
+            raise ConfigError(f"decoder_fc must be two positive widths, got {self.decoder_fc!r}") from None
+        try:
+            self.decoder_deconv = tuple(tuple(_integer(v) for v in spec) for spec in self.decoder_deconv)
+        except TypeError:
+            raise ConfigError("decoder_deconv must be five (channels, width, stride) stages, "
+                              f"got {self.decoder_deconv!r}") from None
         self.validate()
 
     def validate(self):
@@ -78,11 +96,7 @@ class ModelConfig:
             "num_classes": self.num_classes, "routing_iters": self.routing_iters,
         }
         for name, value in ints.items():
-            try:
-                valid = int(value) == value and value >= 1
-            except (TypeError, ValueError):
-                valid = False
-            if not valid:
+            if not _is_integer(value) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if self.L % self.n != 0:
             raise ConfigError(f"L={self.L} must be divisible by segment length n={self.n}")
@@ -130,11 +144,11 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        if "decoder_fc" in d:
-            d["decoder_fc"] = tuple(d["decoder_fc"])
-        if "decoder_deconv" in d:
-            d["decoder_deconv"] = tuple(tuple(s) for s in d["decoder_deconv"])
+        if not isinstance(d, dict):
+            raise ConfigError(f"model config must be a JSON object, got {d!r}")
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
         return cls(**d)
 
     @classmethod
@@ -346,7 +360,7 @@ def concat_weighted(omega_a: Tensor, omega_b: Tensor, alpha: Tensor, beta: Tenso
     if omega_a.shape[-1] != omega_b.shape[-1]:
         raise ShapeError(
             f"capsule dims differ: {omega_a.shape[-1]} vs {omega_b.shape[-1]}")
-    return T.concat([T.scale(omega_a, alpha), T.scale(omega_b, beta)], axis=-2)
+    return T.concat([T.mul(omega_a, alpha), T.mul(omega_b, beta)], axis=-2)
 
 
 def classification_forward(omega_cc: Tensor, params: ModelParams, cfg: ModelConfig) -> Tensor:
@@ -357,17 +371,16 @@ def classification_forward(omega_cc: Tensor, params: ModelParams, cfg: ModelConf
     lead = omega_cc.shape[:-2]
     if omega_cc.data.ndim not in (2, 3) or omega_cc.shape[-2:] != (n_caps, a_s):
         raise ShapeError(f"expected capsules {(n_caps, a_s)}, got {omega_cc.shape}")
-    spec = "zna,ncab->zcnb" if lead else "na,ncab->cnb"
-    votes = T.contract(spec, omega_cc, w)  # ([B,] classes, N, a_sig)
     rows = lead[0] if lead else 1
-    votes = T.reshape(votes, (rows, classes, n_caps, a_sig))  # one outer row per example
-    routed = dynamic_routing(votes, cfg.routing_iters)  # (1, classes, a_sig)
+    # each capsule's rows (N, 1, B, a_s) times its class transforms (N, classes, a_s, a_sig)
+    u = T.permute(T.reshape(omega_cc, (rows, n_caps, 1, a_s)), (1, 2, 0, 3))
+    votes = T.permute(T.matmul(u, w), (2, 1, 0, 3))  # (B, classes, N, a_sig): one outer row per example
+    routed = dynamic_routing(votes, cfg.routing_iters)  # (B, classes, a_sig)
     return T.reshape(routed, lead + (classes, a_sig))
 
 
 def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    spec = "zi,io->zo" if x.data.ndim == 2 else "i,io->o"
-    return T.add(T.contract(spec, x, w), b)
+    return T.add(T.matmul(x, w), b)
 
 
 def decoder_forward(class_capsules: Tensor, mask_class, params: ModelParams,
@@ -386,11 +399,12 @@ def decoder_forward(class_capsules: Tensor, mask_class, params: ModelParams,
         raise ValueError(f"mask_class {mask_class} out of range for {cfg.num_classes} classes")
     mask = np.eye(cfg.num_classes)[labels][..., None]  # ([B,] classes, 1)
     masked = T.mul(class_capsules, Tensor(mask))
-    h = T.reshape(masked, lead + (cfg.num_classes * cfg.a_sig,))
+    rows = lead[0] if lead else 1
+    h = T.reshape(masked, (rows, cfg.num_classes * cfg.a_sig))
     h = T.relu(_linear(h, params["decoder_fc1_w"], params["decoder_fc1_b"]))
     h = T.relu(_linear(h, params["decoder_fc2_w"], params["decoder_fc2_b"]))
     seed_len, seed_ch = cfg.decoder_seed()
-    h = T.reshape(h, lead + (seed_len, seed_ch))
+    h = T.reshape(h, (rows, seed_len, seed_ch))
     last = len(cfg.decoder_deconv)
     for i, (_out_ch, _width, stride) in enumerate(cfg.decoder_deconv, start=1):
         h = T.add(deconv1d(h, params[f"decoder_deconv{i}_w"], stride=stride),

@@ -15,10 +15,9 @@ parameters (a bias of shape (C,) added to (B, L, C) activations).
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -113,29 +112,6 @@ class Tensor:
             node._backward = None
             node._parents = ()
 
-    # Arithmetic sugar; scalars are allowed on either side.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -167,14 +143,19 @@ def make_op(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.
     return out
 
 
+def _broadcast_axes(full: tuple[int, ...], shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Axes of a broadcast result of shape ``full`` along which an operand of
+    ``shape`` was repeated: the ones it lacks and the unit axes it widened."""
+    lead = len(full) - len(shape)
+    return tuple(range(lead)) + tuple(
+        lead + i for i, n in enumerate(shape) if n == 1 and full[lead + i] != 1)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast result's gradient back down to an operand's shape."""
     if g.shape == shape:
         return g
-    lead = g.ndim - len(shape)
-    axes = tuple(range(lead)) + tuple(
-        lead + i for i, n in enumerate(shape) if n == 1 and g.shape[lead + i] != 1)
-    return g.sum(axis=axes).reshape(shape)
+    return g.sum(axis=_broadcast_axes(g.shape, shape)).reshape(shape)
 
 
 def _binary(a, b, fwd, da, db) -> Tensor:
@@ -186,12 +167,10 @@ def _binary(a, b, fwd, da, db) -> Tensor:
     b_t = isinstance(b, Tensor)
     av = a.data if a_t else float(a)
     bv = b.data if b_t else float(b)
-    if a_t and b_t and a.shape != b.shape:
-        try:
-            np.broadcast_shapes(a.shape, b.shape)
-        except ValueError:
-            raise ShapeError(f"operand shapes do not broadcast: {a.shape} vs {b.shape}") from None
-    data = fwd(av, bv)
+    try:
+        data = fwd(av, bv)
+    except ValueError:
+        raise ShapeError(f"operand shapes do not broadcast: {np.shape(av)} vs {np.shape(bv)}") from None
 
     def backward(gout: np.ndarray):
         for t, d in ((a, da), (b, db)):
@@ -213,38 +192,6 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x)
-
-
-def div(a, b) -> Tensor:
-    return _binary(
-        a, b,
-        lambda x, y: x / y,
-        lambda g, x, y: g / y,
-        lambda g, x, y: -g * x / (y * y),
-    )
-
-
-def neg(a: Tensor) -> Tensor:
-    return make_op(-a.data, (a,), lambda g: _accumulate(a, -g, owned=True))
-
-
-def scale(t: Tensor, s) -> Tensor:
-    """Multiply a tensor by a scalar, where the scalar may itself be a
-    trainable single-element tensor (gradient = sum of t * gout)."""
-    if isinstance(s, Tensor):
-        if s.size != 1:
-            raise ShapeError(f"scale factor must be a single element, got shape {s.shape}")
-        sval = float(s.data.reshape(()))
-        data = t.data * sval
-
-        def backward(gout: np.ndarray):
-            if t.requires_grad:
-                _accumulate(t, gout * sval, owned=True)
-            if s.requires_grad:
-                _accumulate(s, np.sum(gout * t.data).reshape(s.shape), owned=True)
-
-        return make_op(data, (t, s), backward)
-    return mul(t, float(s))
 
 
 def relu(t: Tensor) -> Tensor:
@@ -281,37 +228,25 @@ def _normalize_axes(axes, ndim) -> tuple[int, ...]:
     return tuple(sorted(norm))
 
 
-def _restore_keepdims(g: np.ndarray, axes: tuple[int, ...], keepdims: bool, in_shape) -> np.ndarray:
-    if keepdims:
-        return g
-    shape = list(in_shape)
-    for ax in axes:
-        shape[ax] = 1
-    return g.reshape(shape)
-
-
-def sum_over(t: Tensor, axes=None, keepdims: bool = False) -> Tensor:
+def sum_over(t: Tensor, axes=None) -> Tensor:
     axes_n = _normalize_axes(axes, t.data.ndim)
-    data = t.data.sum(axis=axes_n if axes_n else None, keepdims=keepdims)
+    data = t.data.sum(axis=axes_n if axes_n else None)
+    kept = tuple(1 if ax in axes_n else n for ax, n in enumerate(t.shape))
 
     def backward(gout):
-        g = _restore_keepdims(np.asarray(gout), axes_n, keepdims, t.shape)
-        _accumulate(t, np.broadcast_to(g, t.shape))
+        _accumulate(t, np.broadcast_to(np.reshape(gout, kept), t.shape))
 
     return make_op(data, (t,), backward)
 
 
-def mean_over(t: Tensor, axes=None, keepdims: bool = False) -> Tensor:
+def mean_over(t: Tensor, axes=None) -> Tensor:
     axes_n = _normalize_axes(axes, t.data.ndim)
-    count = 1
-    for ax in axes_n:
-        count *= t.shape[ax]
-    return scale(sum_over(t, axes_n, keepdims), 1.0 / count)
+    return mul(sum_over(t, axes_n), 1.0 / math.prod(t.shape[ax] for ax in axes_n))
 
 
 def reshape(t: Tensor, new_shape) -> Tensor:
     new_shape = tuple(int(s) for s in new_shape)
-    if int(np.prod(new_shape)) != t.size:
+    if math.prod(new_shape) != t.size:
         raise ShapeError(f"cannot reshape {t.shape} ({t.size} elements) to {new_shape}")
     old_shape = t.shape
 
@@ -327,7 +262,7 @@ def permute(t: Tensor, order: Iterable[int]) -> Tensor:
     order = tuple(order)
     if sorted(order) != list(range(t.data.ndim)):
         raise ValueError(f"{order} is not a permutation of axes for ndim {t.data.ndim}")
-    inverse = tuple(np.argsort(order))
+    inverse = tuple(sorted(range(len(order)), key=order.__getitem__))
 
     def backward(gout):
         _accumulate(t, np.transpose(np.asarray(gout), inverse), owned=True)  # as in reshape
@@ -360,138 +295,51 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return make_op(data, tuple(tensors), backward)
 
 
-@functools.lru_cache(maxsize=64)
-def _parse_spec(subscripts: str) -> tuple[str, str, str]:
-    """Split a binary contraction spec into operand and output labels."""
-    try:
-        in_spec, out_spec = subscripts.replace(" ", "").split("->")
-        a_spec, b_spec = in_spec.split(",")
-    except ValueError:
-        raise ValueError(f"contract spec must look like 'ab,bc->ac', got {subscripts!r}") from None
-    for spec in (a_spec, b_spec, out_spec):
-        if len(set(spec)) != len(spec):
-            raise ValueError(f"repeated label in spec {spec!r}")
-    if not set(a_spec) <= set(out_spec) | set(b_spec):
-        raise ValueError(f"labels {set(a_spec) - set(out_spec) - set(b_spec)} summed within one operand")
-    if not set(b_spec) <= set(out_spec) | set(a_spec):
-        raise ValueError(f"labels {set(b_spec) - set(out_spec) - set(a_spec)} summed within one operand")
-    if not set(out_spec) <= set(a_spec) | set(b_spec):
-        raise ValueError(f"output labels {set(out_spec) - set(a_spec) - set(b_spec)} missing from inputs")
-    return a_spec, b_spec, out_spec
-
-
-class _MatmulPlan(NamedTuple):
-    x_axes: tuple[int, ...]  # transpose of x into (batch..., row, inner)
-    x_expand: tuple  # index adding the unit axes of labels x lacks
-    y_axes: tuple[int, ...]  # transpose of y into (batch..., inner, col)
-    y_expand: tuple
-    sum_axes: tuple[int, ...]  # trailing batch axes of summed labels, reduced after the matmul
-    squeeze: tuple[int, ...]  # unit axes standing in for a missing row or col label
-    out_axes: tuple[int, ...]  # transpose of what is left into the output spec
-    shared: tuple[tuple[int, int], ...]  # (x axis, y axis) of each label both carry
-
-
-@functools.lru_cache(maxsize=256)
-def _matmul_plan(x_spec: str, y_spec: str, out_spec: str,
-                 x_strides: tuple[int, ...], y_strides: tuple[int, ...]) -> _MatmulPlan:
-    """Map each label onto a batch, row, inner (summed) or column axis of one
-    ``np.matmul``.
-
-    Of each kind the label with the smallest stride becomes the matrix axis,
-    so BLAS reads both operands where they lie in memory.  Every other label
-    is a batch axis: a label only one operand carries is broadcast against a
-    unit axis of the other, and an extra summed label is reduced after the
-    matmul.  Batch axes run from the largest stride down, summed ones last.
-    """
-    xs = dict(zip(x_spec, map(abs, x_strides)))
-    ys = dict(zip(y_spec, map(abs, y_strides)))
-    shared = [l for l in x_spec if l in ys]
-    summed = [l for l in shared if l not in out_spec]
-    inner = min(summed, key=xs.__getitem__, default=None)
-    row = min((l for l in x_spec if l not in ys), key=xs.__getitem__, default=None)
-    col = min((l for l in y_spec if l not in xs), key=ys.__getitem__, default=None)
-    batch = sorted((l for l in dict.fromkeys(x_spec + y_spec) if l not in (inner, row, col)),
-                   key=lambda l: (l in summed, -max(xs.get(l, 0), ys.get(l, 0))))
-
-    def operand(spec, labels):
-        axes = tuple(spec.index(l) for l in labels if l is not None and l in spec)
-        expand = tuple(slice(None) if l is not None and l in spec else None for l in labels)
-        return axes, expand
-
-    x_axes, x_expand = operand(x_spec, batch + [row, inner])
-    y_axes, y_expand = operand(y_spec, batch + [inner, col])
-    kept = [l for l in batch if l not in summed] + [row, col]
-    labels = [l for l in kept if l is not None]
-    return _MatmulPlan(
-        x_axes, x_expand, y_axes, y_expand,
-        sum_axes=tuple(i for i, l in enumerate(batch) if l in summed),
-        squeeze=tuple(i for i, l in enumerate(kept) if l is None),
-        out_axes=tuple(labels.index(l) for l in out_spec),
-        shared=tuple((x_spec.index(l), y_spec.index(l)) for l in shared),
-    )
-
-
-# Floats of unsummed matmul product per chunk when a contraction sums over
-# more labels than the one BLAS contracts.
+# Floats of unsummed matmul product per chunk when an adjoint sums over
+# broadcast batch axes.
 _SUM_CHUNK = 1 << 16
 
 
-def _matmul_sum(x: np.ndarray, y: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """``np.matmul(x, y).sum(axis=axes)`` for trailing batch ``axes``, one chunk
-    of the leading axis at a time, so the unsummed product stays near
-    _SUM_CHUNK floats instead of growing with the summed extents."""
-    shape = np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (x.shape[-2], y.shape[-1])
+def _matmul_sum(x: np.ndarray, y: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``np.matmul(x, y)`` summed down to ``shape`` over the batch axes that
+    broadcasting added or widened.  Unless the leading axis is summed, this
+    runs one chunk of the leading axis at a time, so the unsummed product
+    stays near _SUM_CHUNK floats instead of growing with the summed extents."""
+    full = np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (x.shape[-2], y.shape[-1])
+    axes = _broadcast_axes(full, shape)
+    if not axes:
+        return np.matmul(x, y)
     if axes[0] == 0:
-        return np.matmul(x, y).sum(axis=axes)
-    out = np.empty(shape[: axes[0]] + shape[-2:])
-    rows = max(1, _SUM_CHUNK * shape[0] // max(1, math.prod(shape)))
-    for lo in range(0, shape[0], rows):
+        return np.matmul(x, y).sum(axis=axes).reshape(shape)
+    out = np.empty(tuple(n for i, n in enumerate(full) if i not in axes))
+    rows = max(1, _SUM_CHUNK * full[0] // max(1, math.prod(full)))
+    for lo in range(0, full[0], rows):
         sl = slice(lo, lo + rows)
-        part = np.matmul(x if x.shape[0] == 1 else x[sl], y if y.shape[0] == 1 else y[sl])
+        # an operand broadcast along the leading axis enters every chunk whole
+        part = np.matmul(*(z[sl] if z.ndim == len(full) and z.shape[0] > 1 else z for z in (x, y)))
         part.sum(axis=axes, out=out[sl])
-    return out
+    return out.reshape(shape)
 
 
-def _matmul_contract(x_spec: str, y_spec: str, out_spec: str,
-                     x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The einsum ``x_spec,y_spec->out_spec`` of two arrays as one batched
-    matmul over views of them; the result may be a permuted view."""
-    for spec, operand in ((x_spec, x), (y_spec, y)):
-        if len(spec) != operand.ndim:
-            raise ShapeError(f"spec {spec!r} does not match operand rank {operand.ndim}")
-    plan = _matmul_plan(x_spec, y_spec, out_spec, x.strides, y.strides)
-    for i, j in plan.shared:
-        if x.shape[i] != y.shape[j]:
-            raise ShapeError(f"label {x_spec[i]!r} has extent {x.shape[i]} in {x_spec!r} "
-                             f"but {y.shape[j]} in {y_spec!r}")
-    x = x.transpose(plan.x_axes)[plan.x_expand]
-    y = y.transpose(plan.y_axes)[plan.y_expand]
-    out = _matmul_sum(x, y, plan.sum_axes) if plan.sum_axes else np.matmul(x, y)
-    if plan.squeeze:
-        out = out.squeeze(axis=plan.squeeze)
-    return out.transpose(plan.out_axes)
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Batched ``a @ b`` on operands of at least two dimensions; the batch
+    axes (all but the last two) broadcast with numpy rules.
 
-
-def contract(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
-    """Binary einsum with recorded gradients, e.g. contract('zna,ncab->zcnb', u, w).
-
-    The forward and both adjoints each run as one batched ``np.matmul`` on
-    views of the operands in their stored layout (see ``_matmul_plan``;
-    chunked when more than one label is summed), so neither operand nor the
-    incoming gradient is copied into a transposed layout; the result is the
-    matmul output seen through a permuted view.
-    Labels are single characters: none repeated within a spec, every operand
-    label present in the output or the other operand, every output label
-    present in some operand, and shared labels of equal extent.
+    The adjoints are ``g @ bT`` and ``aT @ g`` on transposed views, summed
+    over the batch axes an operand was broadcast along (see ``_matmul_sum``).
     """
-    a_spec, b_spec, out_spec = _parse_spec(subscripts)
-    data = _matmul_contract(a_spec, b_spec, out_spec, a.data, b.data)
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError(f"matmul needs operands of at least 2 dimensions, got {a.shape} @ {b.shape}")
+    try:
+        data = np.matmul(a.data, b.data)
+    except ValueError:
+        raise ShapeError(f"matmul operands do not match: {a.shape} @ {b.shape}") from None
 
     def backward(gout):
         g = np.asarray(gout)
         if a.requires_grad:
-            _accumulate(a, _matmul_contract(out_spec, b_spec, a_spec, g, b.data), owned=True)
+            _accumulate(a, _matmul_sum(g, np.swapaxes(b.data, -1, -2), a.shape), owned=True)
         if b.requires_grad:
-            _accumulate(b, _matmul_contract(a_spec, out_spec, b_spec, a.data, g), owned=True)
+            _accumulate(b, _matmul_sum(np.swapaxes(a.data, -1, -2), g, b.shape), owned=True)
 
     return make_op(data, (a, b), backward)

@@ -9,8 +9,9 @@ float64 data in manifest order, back to back, with nothing after the last.
 from __future__ import annotations
 
 import json
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,6 +40,12 @@ class TrainConfig:
     lr_decay: float = 1.0  # per-epoch multiplier; 1.0 disables decay
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = numbers.Integral if f.type == "int" else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{f.name} must be {'an integer' if f.type == 'int' else 'a number'}, "
+                                  f"got {value!r}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.lr <= 0 or self.batch_size < 1 or self.recon_weight < 0:
@@ -89,7 +96,7 @@ def total_loss(fwd: ForwardOutput, target: Tensor, true_class, cfg: TrainConfig)
     one loss per row when the forward carries a batch axis."""
     loss_params = LossParams(lam=cfg.lambda_margin)
     margin = margin_loss(fwd.class_lengths, true_class, loss_params)
-    return T.add(margin, T.scale(mse_loss(fwd.reconstruction, target), cfg.recon_weight))
+    return T.add(margin, T.mul(mse_loss(fwd.reconstruction, target), cfg.recon_weight))
 
 
 def _stack(signals) -> Tensor:
@@ -172,13 +179,13 @@ def train(params: ModelParams, train_set: Dataset, test_set: Dataset, cfg: Train
             margin, recon = _backprop_batch(params, batch, cfg, f"epoch {epoch}, batch {number}")
             margin_sum += margin
             recon_sum += recon
-            scale = 1.0 / len(batch)
+            per_row = 1.0 / len(batch)
             grads = {}
             for name, p in params.items():
                 if p.grad is None:
                     grads[name] = np.zeros_like(p.data)
                 else:
-                    p.grad *= scale
+                    p.grad *= per_row
                     grads[name] = p.grad
             new_tensors, state = adam_step(params.tensors(), grads, state)
             params = params.replace(new_tensors)
@@ -234,8 +241,9 @@ def load_checkpoint(path) -> ModelParams:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header ({exc})") from None
-    if header.get("format") != _CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint (format={header.get('format')!r})")
+    fmt = header.get("format") if isinstance(header, dict) else None
+    if fmt != _CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint (format={fmt!r})")
     if header.get("version") != _CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('version')!r}, "
                               f"expected {_CHECKPOINT_VERSION}")
@@ -246,7 +254,8 @@ def load_checkpoint(path) -> ModelParams:
         raise CheckpointError(f"{path}: bad header ({exc})") from None
 
     expected = param_shapes(config)
-    if [m.get("name") for m in manifest] != list(expected):
+    if not (isinstance(manifest, list) and all(isinstance(m, dict) for m in manifest)
+            and [m.get("name") for m in manifest] == list(expected)):
         raise CheckpointError(f"{path}: tensor manifest does not match the config's parameter set")
     tensors: dict[str, Tensor] = {}
     stop = 0  # tensors are stored back to back in manifest order
@@ -268,6 +277,8 @@ def load_checkpoint(path) -> ModelParams:
         if stop > len(payload):
             raise CheckpointError(f"{path}: tensor {name!r} payload is truncated")
         data = np.frombuffer(payload[start:stop], dtype="<f8").reshape(shape)
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
         tensors[name] = Tensor(data.copy(), requires_grad=True)
     if stop != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - stop} trailing payload bytes after the last tensor")

@@ -155,6 +155,28 @@ class TestTrainCommand:
         assert "unknown train config keys: ['routing_iters']" in capsys.readouterr().err
         assert not (out_dir / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("section,key,value", [
+        (None, "test_fraction", "abc"),
+        (None, "min_class_count", "x"),
+        (None, "split_seed", "q"),
+        (None, "out", 5),
+        ("train", "epochs", "5"),
+        ("train", "lr", None),
+        ("model", "decoder_fc", 5),
+    ])
+    def test_mistyped_value_exits_2_naming_the_key(self, tmp_path, synth_csv, capsys,
+                                                    section, key, value):
+        # negative control: each of these crashed with a traceback and exit 1
+        out_dir = tmp_path / "run7"
+        cfg_path = smoke_config(tmp_path, synth_csv, out_dir)
+        cfg = json.loads(cfg_path.read_text())
+        (cfg if section is None else cfg[section])[key] = value
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert f"error: {key} must be" in capsys.readouterr().err
+        assert not (out_dir / "model.ckpt").exists()
+
 
 class TestEvalCommand:
     def test_eval_reproduces_training_test_accuracy(self, tmp_path, synth_csv):
@@ -249,11 +271,17 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         lines = [ln for ln in out.splitlines() if "max_rel_error" in ln]
         assert len(lines) >= 6
-        for comp in ("conv1d", "conv2d", "deconv1d", "squash", "routing", "contract_batch2", "full_model"):
+        for comp in ("conv1d", "conv2d", "deconv1d", "squash", "routing", "matmul_batch2", "full_model"):
             assert any(comp in ln for ln in lines)
 
     def test_fault_injection_negative_control(self, capsys):
         assert main(["gradcheck", "--inject-fault", "squash"]) == 1
+
+    def test_unknown_model_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "gc.json"
+        cfg.write_text(json.dumps({"model": {"bogus": 1}}))
+        assert main(["gradcheck", "--config", str(cfg)]) == 2
+        assert "unknown model config keys: ['bogus']" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -265,6 +293,17 @@ class TestExitCodes:
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"not a checkpoint\n")
         assert main(["eval", "--checkpoint", str(bad), "--data", str(synth_csv)]) == 2
+
+    def test_non_finite_checkpoint_parameter_exits_2(self, tmp_path, synth_csv, capsys):
+        out_dir = tmp_path / "run"
+        main(["train", "--config", str(smoke_config(tmp_path, synth_csv, out_dir))])
+        ckpt = out_dir / "model.ckpt"
+        header, _, payload = ckpt.read_bytes().partition(b"\n")
+        ckpt.write_bytes(header + b"\n" + np.array([np.nan], dtype="<f8").tobytes() + payload[8:])
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(synth_csv),
+                     "--out", str(tmp_path / "e")]) == 2
+        assert "'front_kernels' holds non-finite values" in capsys.readouterr().err
 
     def test_empty_dataset_eval(self, tmp_path, synth_csv):
         out_dir = tmp_path / "run"

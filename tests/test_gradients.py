@@ -31,9 +31,8 @@ def test_elementwise_ops(seed):
         lambda t: wsum(T.add(t, yt), r),
         lambda t: wsum(T.sub(t, yt), r),
         lambda t: wsum(T.mul(t, yt), r),
-        lambda t: wsum(T.div(t, Tensor(np.abs(y) + 1.0)), r),
-        lambda t: wsum(T.neg(t), r),
-        lambda t: wsum(T.scale(t, 1.7), r),
+        lambda t: wsum(T.mul(t, 1.7), r),
+        lambda t: wsum(T.mul(t, Tensor([1.7])), r),
     ):
         assert grad_check(f, Tensor(x)) < TOL
 
@@ -76,20 +75,22 @@ def test_repeat_concat_softmax_contract(seed):
     rc = rng.standard_normal((6, 3))
     assert grad_check(lambda t: wsum(T.concat([t, other], axis=0), rc), Tensor(a)) < TOL
 
-    u = rng.standard_normal((5, 3))
+    # the class votes: (N, 1, B, a) capsule rows broadcast against (N, C, a, b)
+    # transforms, so the capsule adjoint sums over C
+    u = rng.standard_normal((5, 1, 3, 3))
     w = rng.standard_normal((5, 2, 3, 4))
-    rv = rng.standard_normal((2, 5, 4))
-    wt = Tensor(w)
-    assert grad_check(lambda t: wsum(T.contract("na,ncab->cnb", t, wt), rv), Tensor(u)) < TOL
-    ut = Tensor(u)
-    assert grad_check(lambda t: wsum(T.contract("na,ncab->cnb", ut, t), rv), Tensor(w)) < TOL
+    rv = rng.standard_normal((5, 2, 3, 4))
+    wt, ut = Tensor(w), Tensor(u)
+    assert grad_check(lambda t: wsum(T.matmul(t, wt), rv), Tensor(u)) < TOL
+    assert grad_check(lambda t: wsum(T.matmul(ut, t), rv), Tensor(w)) < TOL
 
-    # the batched class-vote contraction, whose adjoints sum over two labels
-    ub = rng.standard_normal((3, 5, 3))
-    rb = rng.standard_normal((3, 2, 5, 4))
-    ubt = Tensor(ub)
-    assert grad_check(lambda t: wsum(T.contract("zna,ncab->zcnb", t, wt), rb), Tensor(ub)) < TOL
-    assert grad_check(lambda t: wsum(T.contract("zna,ncab->zcnb", ubt, t), rb), Tensor(w)) < TOL
+    # a decoder dense layer
+    h = rng.standard_normal((3, 6))
+    fc = rng.standard_normal((6, 2))
+    rf = rng.standard_normal((3, 2))
+    fct, ht = Tensor(fc), Tensor(h)
+    assert grad_check(lambda t: wsum(T.matmul(t, fct), rf), Tensor(h)) < TOL
+    assert grad_check(lambda t: wsum(T.matmul(ht, t), rf), Tensor(fc)) < TOL
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -99,6 +99,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(decoder_fc=(128, 255))
 
+    @pytest.mark.parametrize("entry", [{"decoder_fc": 5}, {"decoder_fc": ["x", 16]},
+                                       {"decoder_deconv": [[1, "w", 1]] * 5}, {"bogus": 1},
+                                       {"k": 4.0}, {"routing_iters": True}, {"decoder_fc": [8.7, 16]}])
+    def test_from_dict_rejects_bad_entries(self, entry):
+        with pytest.raises(ConfigError, match=next(iter(entry))):
+            ModelConfig.from_dict(entry)
+
     def test_roundtrip_dict(self):
         cfg = ModelConfig.toy()
         again = ModelConfig.from_dict(cfg.to_dict())

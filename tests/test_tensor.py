@@ -38,34 +38,28 @@ class TestElementwise:
         assert np.allclose(b.grad, (2.0 * out.data).sum(axis=(0, 1)))
         assert np.allclose(x.grad, 2.0 * out.data)
 
-    def test_div(self):
-        out = T.div(Tensor([4.0, 9.0]), Tensor([2.0, 3.0]))
-        assert np.array_equal(out.data, [2.0, 3.0])
-
-    def test_operator_sugar(self):
-        a = Tensor([2.0])
-        out = (a * 3.0 + 1.0 - a) / 2.0
-        assert out.data[0] == pytest.approx(2.5)
-
     def test_finite_outputs_on_finite_inputs(self, rng):
         x = Tensor(rng.standard_normal((5, 4)) * 100)
-        for op in (T.relu, lambda t: T.mul(t, t), T.neg):
+        for op in (T.relu, lambda t: T.mul(t, t), lambda t: T.sub(0.0, t)):
             assert np.all(np.isfinite(op(x).data))
 
 
 class TestScale:
+    """alpha and beta scale whole capsule sets as single-element tensors
+    broadcast by ``mul``."""
+
     def test_scale_by_tensor_scalar(self):
         s = Tensor([2.0], requires_grad=True)
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        out = T.scale(x, s)
+        out = T.mul(x, s)
         assert np.array_equal(out.data, 2.0 * x.data)
         T.sum_over(out).backward()
-        assert s.grad[0] == pytest.approx(x.data.sum())
+        assert s.grad.shape == (1,) and s.grad[0] == pytest.approx(x.data.sum())
         assert np.allclose(x.grad, 2.0)
 
     def test_scale_rejects_vector(self):
         with pytest.raises(ShapeError):
-            T.scale(Tensor([1.0, 2.0]), Tensor([1.0, 2.0]))
+            T.mul(Tensor(np.ones((2, 3))), Tensor([1.0, 2.0]))
 
 
 class TestReduce:
@@ -75,10 +69,6 @@ class TestReduce:
     def test_sum_axis(self):
         out = T.sum_over(Tensor([[1.0, 2.0], [3.0, 4.0]]), axes=(1,))
         assert np.array_equal(out.data, [3.0, 7.0])
-
-    def test_keepdims(self):
-        out = T.sum_over(Tensor(np.ones((2, 3))), axes=(1,), keepdims=True)
-        assert out.shape == (2, 1)
 
     def test_invalid_axis(self):
         with pytest.raises(ValueError):
@@ -123,95 +113,101 @@ def strided_operand(rng, shape, transposed):
     return stored.transpose(np.argsort(order))
 
 
-def random_spec(rng):
-    """A binary spec whose labels are batch (both operands and the output),
-    summed (both operands only), or carried by one operand and the output."""
-    labels = "abcdefgh"[: int(rng.integers(1, 7))]
-    roles = rng.integers(0, 4, size=len(labels))  # batch, summed, x-only, y-only
-    x = [l for l, r in zip(labels, roles) if r in (0, 1, 2)]
-    y = [l for l, r in zip(labels, roles) if r in (0, 1, 3)]
-    out = [l for l, r in zip(labels, roles) if r != 1]
-    x, y, out = ("".join(rng.permutation(s)) if s else "" for s in (x, y, out))
-    return f"{x},{y}->{out}"
-
-
 def assert_close(got, want):
     assert got.shape == want.shape
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want), initial=0.0))
 
 
-class TestContract:
-    def test_matches_einsum(self, rng):
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((4, 5))
-        out = T.contract("ij,jk->ik", Tensor(a), Tensor(b))
-        assert np.allclose(out.data, a @ b)
+def sum_to(x, shape):
+    """Sum a broadcast array back down to ``shape``."""
+    while x.ndim > len(shape):
+        x = x.sum(axis=0)
+    for axis, n in enumerate(shape):
+        if n == 1:
+            x = x.sum(axis=axis, keepdims=True)
+    return x
 
-    @pytest.mark.parametrize("spec", [
-        "zna,ncab->zcnb",  # class votes: batch n, summed a, z only in x, c and b only in y
-        "zcnb,ncab->zna",  # their capsule adjoint: two summed labels
-        "zna,zcnb->ncab",  # their weight adjoint
-        "na,ncab->cnb",
-        "ij,ij->",  # scalar-like output
-        "i,o->io",  # outer product: nothing summed
-        "ijk,jkl->il",
-        "bij,bjk->bki",
-    ])
-    def test_named_specs_match_einsum(self, rng, spec):
-        ins, _ = spec.split("->")
-        extents = {l: int(rng.integers(1, 6)) for l in set(ins.replace(",", ""))}
-        for transposed in (False, True):
-            a, b = (strided_operand(rng, tuple(extents[l] for l in s), transposed)
-                    for s in ins.split(","))
-            assert_close(T.contract(spec, Tensor(a), Tensor(b)).data, np.einsum(spec, a, b))
+
+def class_votes(u: Tensor, w: Tensor) -> Tensor:
+    """The class stage's votes: (B, N, a) capsules through (N, C, a, b)
+    transforms, as a (B, C, N, b) view of one broadcast matmul."""
+    rows, n_caps, a = u.shape
+    lhs = T.permute(T.reshape(u, (rows, n_caps, 1, a)), (1, 2, 0, 3))
+    return T.permute(T.matmul(lhs, w), (2, 1, 0, 3))
+
+
+# (a shape, b shape): plain, batched, and broadcast along missing or unit
+# batch axes of either operand (the class votes are the (5, 1, 3, 4) case)
+MATMUL_SHAPES = [
+    ((3, 4), (4, 5)),
+    ((1, 4), (4, 2)),
+    ((2, 3, 4), (2, 4, 5)),
+    ((6, 3, 4), (4, 2)),
+    ((3, 4), (6, 4, 2)),
+    ((5, 1, 3, 4), (5, 6, 4, 2)),
+    ((1, 6, 3, 4), (5, 6, 4, 2)),
+    ((5, 1, 3, 4), (1, 6, 4, 2)),
+    ((2, 1, 3, 3, 4), (3, 1, 4, 2)),
+]
+
+
+class TestMatmul:
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_matches_np_matmul(self, rng, transposed):
+        for sa, sb in MATMUL_SHAPES:
+            a, b = strided_operand(rng, sa, transposed), strided_operand(rng, sb, transposed)
+            out = T.matmul(Tensor(a), Tensor(b))
+            assert np.array_equal(out.data, np.matmul(a, b))
+
+    def test_class_vote_matches_einsum(self, rng):
+        u = rng.standard_normal((4, 6, 3))
+        w = rng.standard_normal((6, 5, 3, 2))
+        ut, wt = Tensor(u, requires_grad=True), Tensor(w, requires_grad=True)
+        votes = class_votes(ut, wt)
+        assert_close(votes.data, np.einsum("zna,ncab->zcnb", u, w))
+        g = rng.standard_normal(votes.shape)
+        T.sum_over(T.mul(votes, Tensor(g))).backward()
+        assert_close(ut.grad, np.einsum("zcnb,ncab->zna", g, w))
+        assert_close(wt.grad, np.einsum("zna,zcnb->ncab", u, g))
 
     @pytest.mark.parametrize("sum_chunk", [None, 3])
-    def test_random_specs_and_adjoints_match_einsum(self, rng, monkeypatch, sum_chunk):
-        if sum_chunk is not None:  # several chunks whenever more than one label is summed
+    def test_adjoints_match_einsum(self, rng, monkeypatch, sum_chunk):
+        if sum_chunk is not None:  # several chunks whenever a batch axis is summed
             monkeypatch.setattr(T, "_SUM_CHUNK", sum_chunk)
-        for _ in range(200):
-            spec = random_spec(rng)
-            (x_spec, y_spec), out_spec = spec.split("->")[0].split(","), spec.split("->")[1]
-            extents = {l: int(rng.integers(1, 5)) for l in x_spec + y_spec}
-            transposed = bool(rng.integers(2))
-            a, b = (strided_operand(rng, tuple(extents[l] for l in s), transposed)
-                    for s in (x_spec, y_spec))
-            at, bt = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-            out = T.contract(spec, at, bt)
-            assert_close(out.data, np.einsum(spec, a, b))
-            g = strided_operand(rng, out.shape, transposed)
-            T.sum_over(T.mul(out, Tensor(g))).backward()
-            assert_close(at.grad, np.einsum(f"{out_spec},{y_spec}->{x_spec}", g, b))
-            assert_close(bt.grad, np.einsum(f"{x_spec},{out_spec}->{y_spec}", a, g))
+        for sa, sb in MATMUL_SHAPES:
+            for transposed in (False, True):
+                a, b = strided_operand(rng, sa, transposed), strided_operand(rng, sb, transposed)
+                at, bt = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+                out = T.matmul(at, bt)
+                g = strided_operand(rng, out.shape, transposed)
+                T.sum_over(T.mul(out, Tensor(g))).backward()
+                # broadcast a and b to the full batch shape, then sum back down
+                batch = out.shape[:-2]
+                ga = np.einsum("...ik,...jk->...ij", g, np.broadcast_to(b, batch + sb[-2:]))
+                gb = np.einsum("...ki,...kj->...ij", np.broadcast_to(a, batch + sa[-2:]), g)
+                assert_close(at.grad, sum_to(ga, sa))
+                assert_close(bt.grad, sum_to(gb, sb))
 
     def test_class_votes_keep_the_weight_layout(self, rng):
-        # as in the class stage: the votes are a permuted view of an
-        # (n, c, z, b) array, routing hands back their gradient in that
-        # layout, and the weight gradient comes back in the weights' own
+        # the votes are a permuted view of an (N, C, B, b) array, routing hands
+        # back their gradient in that layout, and the weight gradient comes
+        # back in the weights' own
         u = Tensor(rng.standard_normal((4, 6, 3)), requires_grad=True)
         w = Tensor(rng.standard_normal((6, 5, 3, 2)), requires_grad=True)
-        votes = T.contract("zna,ncab->zcnb", u, w)
+        votes = class_votes(u, w)
         assert votes.data.transpose(2, 1, 0, 3).flags.c_contiguous
         T.sum_over(dynamic_routing(votes, 3)).backward()
         assert w.grad.flags.c_contiguous
 
-    def test_rejects_extent_mismatch(self):
+    @pytest.mark.parametrize("sa,sb", [
+        ((2, 3), (2, 2)),  # inner extents differ
+        ((4, 2, 3), (3, 3, 2)),  # batch axes do not broadcast
+        ((3,), (3, 2)),  # a vector operand
+        ((2, 3), (3,)),
+    ])
+    def test_rejects_mismatched_operands(self, sa, sb):
         with pytest.raises(ShapeError):
-            T.contract("ij,jk->ik", Tensor(np.ones((2, 3))), Tensor(np.ones((1, 2))))
-        with pytest.raises(ShapeError):
-            T.contract("bij,bjk->bik", Tensor(np.ones((1, 2, 3))), Tensor(np.ones((4, 3, 2))))
-
-    def test_rejects_rank_mismatch(self):
-        with pytest.raises(ShapeError):
-            T.contract("ij,jk->ik", Tensor(np.ones((2, 3, 1))), Tensor(np.ones((3, 2))))
-
-    def test_rejects_internal_sum(self):
-        with pytest.raises(ValueError):
-            T.contract("ij,k->k", Tensor(np.ones((2, 2))), Tensor(np.ones(3)))
-
-    def test_rejects_diagonal(self):
-        with pytest.raises(ValueError):
-            T.contract("ii,ij->j", Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))))
+            T.matmul(Tensor(np.ones(sa)), Tensor(np.ones(sb)))
 
 
 class TestSoftmax:

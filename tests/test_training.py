@@ -289,6 +289,27 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="gap"):
             load_checkpoint(p)
 
+    def test_non_numeric_decoder_width(self, tiny_cfg, tmp_path):
+        p = self.saved(tiny_cfg, tmp_path)
+        self.rewrite(p, lambda h: h["config"].update(decoder_fc=["x", 16]))
+        with pytest.raises(CheckpointError, match="decoder_fc"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("manifest", [[1, 2], 5])
+    def test_malformed_manifest(self, tiny_cfg, tmp_path, manifest):
+        p = self.saved(tiny_cfg, tmp_path)
+        self.rewrite(p, lambda h: h.update(tensors=manifest))
+        with pytest.raises(CheckpointError, match="manifest"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter(self, tiny_cfg, tmp_path, bad):
+        p = self.saved(tiny_cfg, tmp_path)
+        header, _, payload = p.read_bytes().partition(b"\n")
+        p.write_bytes(header + b"\n" + np.array([bad], dtype="<f8").tobytes() + payload[8:])
+        with pytest.raises(CheckpointError, match="'front_kernels' holds non-finite values"):
+            load_checkpoint(p)
+
     def test_not_a_checkpoint(self, tmp_path):
         p = tmp_path / "m.ckpt"
         p.write_bytes(b"{}\n")
@@ -321,3 +342,9 @@ class TestTrainConfigValidation:
     def test_bad_lr(self):
         with pytest.raises(ConfigError):
             TrainConfig(lr=-1.0)
+
+    @pytest.mark.parametrize("key,value", [("epochs", "5"), ("epochs", 2.0), ("batch_size", True),
+                                           ("seed", None), ("lr", None), ("recon_weight", "0")])
+    def test_mistyped_value_names_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            TrainConfig(**{key: value})
