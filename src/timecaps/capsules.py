@@ -11,13 +11,25 @@ backward (for routing, the adjoint of the update rules of Sabour et al. 2017,
 "Dynamic Routing Between Capsules").  Every function here accepts an
 optional leading batch axis.
 
-Each routing product is a batched matmul over the (outer, parent) axes that
-reads the votes in whatever memory layout they arrive in: the weighted sum
-is couplings (1, block) @ votes (block, dim), the agreement is votes
-(block, dim) @ output (dim, 1).  The vote gradient is written into a buffer
-with the votes' own strides, so a caller that made the votes as a permuted
-view (the class stage does) reads their gradient through the same view,
-without a transposed copy.
+Routing runs in one of two forms, picked by one shape rule (``_flat_form``)
+on the (outer, parent) row count against the block count:
+
+* more rows than blocks (the model's two cells: 2-8 blocks, thousands of
+  rows): the votes are copied once into a contiguous (block, dim, rows)
+  layout, and every iteration is elementwise ops and two-operand einsums on
+  long row vectors, with couplings (block, rows) and sums (dim, rows), so
+  each reduction runs over a leading axis;
+* otherwise (the class stage: N blocks): each product is a batched matmul
+  over the rows that reads the votes in the memory layout they arrive in,
+  couplings (1, block) @ votes (block, dim) for the weighted sum and votes
+  (block, dim) @ output (dim, 1) for the agreement.
+
+The forward keeps each iteration's couplings, weighted sums and their
+squared norms, so the backward recomputes no softmax and no norm.  The vote
+gradient is written into a buffer with the votes' own strides, one chunk of
+outer rows at a time, so a caller that made the votes as a permuted view
+(both cells and the class stage do) reads their gradient through the same
+view, without a transposed copy.
 """
 
 from __future__ import annotations
@@ -71,8 +83,10 @@ def _squash(x: np.ndarray, axis: int) -> np.ndarray:
     return x * _squash_factor(np.sum(x * x, axis=axis, keepdims=True))
 
 
-def _squash_backward(x: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
-    """Vector-Jacobian product of squash at ``x`` for the output gradient ``g``.
+def _squash_backward(x: np.ndarray, g: np.ndarray, axis: int,
+                     s2: np.ndarray | None = None) -> np.ndarray:
+    """Vector-Jacobian product of squash at ``x`` for the output gradient ``g``,
+    given the squared norms ``s2`` (keepdims) if the caller has them.
 
     With s = |x|^2, r = sqrt(s + eps) and f = s / ((1 + s) r), squash(x) = f x,
     so the adjoint is f g + 2 f'(s) <g, x> x, where
@@ -81,7 +95,8 @@ def _squash_backward(x: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     (x/r), whose factors stay finite for every finite s, where s^2 and r^3
     alone overflow once |x| passes about 1e77.
     """
-    s2 = np.sum(x * x, axis=axis, keepdims=True)
+    if s2 is None:
+        s2 = np.sum(x * x, axis=axis, keepdims=True)
     r = np.sqrt(s2 + _NORM_EPS)
     q = 1.0 / (s2 + 1.0)
     coef = ((s2 * q) * ((1.0 - s2) * q) + 2.0 * _NORM_EPS * q * q) / r
@@ -106,78 +121,152 @@ def capsule_length(t: Tensor, axis: int = -1) -> Tensor:
     return T.sqrt(T.sum_over(T.mul(t, t), axes=(axis,)))
 
 
-# Vote elements per chunk of outer rows in the routing backward: bounds the
-# stacked coupling/gradient operands to a fraction of this many floats.
-_ROUTING_CHUNK = 1 << 16
+# Floats of temporaries per chunk of outer rows in the routing backward (1 MiB).
+_ROUTING_CHUNK = 1 << 17
 
 
-def _couplings(logits: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax over the block axis."""
-    e = np.exp(logits - logits.max(axis=2, keepdims=True))
-    return e / e.sum(axis=2, keepdims=True)
+def _couplings(logits: np.ndarray, axis: int) -> np.ndarray:
+    """Max-shifted softmax over the block axis ``axis``."""
+    e = logits - logits.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
-def _route(votes: np.ndarray, iterations: int):
-    """Routing forward on (P, r, s, n) votes.
+def _flat_form(shape: tuple[int, ...]) -> bool:
+    """The shape rule that picks the routing form of (P, r, s, n) votes.
 
-    Returns the squashed output and, per iteration, the logits and the
-    coupling-weighted sums; couplings are recomputed from the logits where
-    needed, which keeps one (P, r, s) array per iteration, not two.
+    With more (outer, parent) rows than blocks, each row's products are
+    tiny, so the rows become the innermost axis of long contiguous vectors
+    (the flat form).  Otherwise each row's (1, s) @ (s, n) product is large
+    enough for BLAS (the matmul form).
     """
-    logits = np.zeros(votes.shape[:3])  # logits start at zero
-    all_logits, all_sums = [], []
-    squashed = None
+    p_n, r_n, s_n, _ = shape
+    return p_n * r_n > s_n
+
+
+def _flat_votes(votes: np.ndarray) -> np.ndarray:
+    """Contiguous (s, n, P*r) copy of (P, r, s, n) votes."""
+    s_n, n_n = votes.shape[2:]
+    return np.ascontiguousarray(votes.transpose(2, 3, 0, 1)).reshape(s_n, n_n, -1)
+
+
+def _weighted(c: np.ndarray, v: np.ndarray, flat: bool) -> np.ndarray:
+    """Coupling-weighted vote sum per row: (s, m) and (s, n, m) give (n, m)
+    in the flat form; (P, r, s) and (P, r, s, n) give (P, r, n) otherwise."""
+    if flat:
+        return np.einsum("sm,snm->nm", c, v)
+    return (c[..., None, :] @ v)[..., 0, :]
+
+
+def _agreement(v: np.ndarray, y: np.ndarray, flat: bool) -> np.ndarray:
+    """Dot product of each vote with its row's vector ``y``, per block."""
+    if flat:
+        return np.einsum("snm,nm->sm", v, y)
+    return (v @ y[..., None])[..., 0]
+
+
+@dataclass
+class _Routed:
+    """What one routing forward keeps per iteration k: couplings c_k, weighted
+    sums w_k and their squared norms, in the form's layout (block or dim axis
+    leading in the flat form, trailing in the matmul form); logits only when
+    traced."""
+
+    flat: bool
+    couplings: list[np.ndarray] = field(default_factory=list)
+    sums: list[np.ndarray] = field(default_factory=list)
+    norms: list[np.ndarray] = field(default_factory=list)
+    logits: list[np.ndarray] = field(default_factory=list)
+
+
+def _route(votes: np.ndarray, iterations: int, keep_logits: bool = False):
+    """Routing forward on (P, r, s, n) votes: the squashed (P, r, n) output
+    and the per-iteration record."""
+    p_n, r_n, s_n, n_n = votes.shape
+    flat = _flat_form(votes.shape)
+    ax = 0 if flat else -1  # the block axis of couplings, the dim axis of sums
+    v = _flat_votes(votes) if flat else votes
+    c = np.full((s_n, p_n * r_n) if flat else (p_n, r_n, s_n), 1.0 / s_n)  # softmax of zero logits
+    b = np.zeros_like(c) if keep_logits else None
+    rec = _Routed(flat)
     for it in range(iterations):
-        weighted = (_couplings(logits)[..., None, :] @ votes)[..., 0, :]
-        squashed = _squash(weighted, -1)
-        all_logits.append(logits)
-        all_sums.append(weighted)
+        w = _weighted(c, v, flat)
+        s2 = np.sum(w * w, axis=ax, keepdims=True)
+        y = w * _squash_factor(s2)
+        rec.couplings.append(c)
+        rec.sums.append(w)
+        rec.norms.append(s2)
+        if keep_logits:
+            rec.logits.append(b)
         if it + 1 < iterations:
-            logits = logits + (votes @ squashed[..., None])[..., 0]
-    return squashed, all_logits, all_sums
+            a = _agreement(v, y, flat)
+            b = a if b is None else b + a
+            c = _couplings(b, ax)
+    out = np.ascontiguousarray(y.T).reshape(p_n, r_n, n_n) if flat else y
+    return out, rec
 
 
-def _route_backward(votes: np.ndarray, logits: list[np.ndarray], sums: list[np.ndarray],
-                    gout: np.ndarray) -> np.ndarray:
-    """Vote gradient of routing, from the forward's logits and sums.
+def _route_backward(votes: np.ndarray, rec: _Routed, gout: np.ndarray) -> np.ndarray:
+    """Vote gradient of routing, from the forward's record.
 
     Iteration k computes c_k = softmax(b_k), w_k = sum_s c_k v, y_k =
     squash(w_k) and b_{k+1} = b_k + <y_k, v>.  Walking back from the output,
     the logit gradient gb flows unchanged through the additive updates, and
-    dv = sum_k c_k (x) dw_k + gb_{k+1} (x) y_k.  The outer products of every
-    iteration are stacked and contracted in one matmul per chunk of outer
-    rows, written straight into the gradient buffer, which has the memory
-    layout of ``votes``.
+    dv = sum_k c_k (x) dw_k + gb_{k+1} (x) y_k.  The 2K-1 outer products are
+    stacked and contracted in one matmul per chunk of outer rows, written
+    straight into the gradient buffer, which has the memory layout of
+    ``votes``.  The logits b_0 are a constant, so no gradient is formed for
+    them.
     """
     p_n, r_n, s_n, n_n = votes.shape
-    iterations = len(logits)
+    flat, ax = rec.flat, (0 if rec.flat else -1)
+    terms = 2 * len(rec.couplings) - 1
     grad = np.empty_like(votes, order="K")
-    rows = max(1, _ROUTING_CHUNK // (r_n * s_n * n_n))
+    # per row: the coupling and gradient stacks, about three block-sized and
+    # three dim-sized temporaries, and in the flat form the vote copy
+    per_row = r_n * ((terms + 3) * (s_n + n_n) + (s_n * n_n if flat else 0))
+    rows = max(1, _ROUTING_CHUNK // per_row)
     for lo in range(0, p_n, rows):
         sl = slice(lo, lo + rows)
-        v = votes[sl]
-        left, right = [], []  # per term: (rows, r, s) weights and (rows, r, n) vectors
-        gy = gout[sl]
-        gb = None  # gradient of the logits entering the current iteration
-        for k in reversed(range(iterations)):
-            c, w = _couplings(logits[k][sl]), sums[k][sl]
+        if flat:
+            v = _flat_votes(votes[sl])
+            gy = np.ascontiguousarray(gout[sl].reshape(-1, n_n).T)
+            cols = slice(lo * r_n, (lo + rows) * r_n)
+            pick = lambda a: a[:, cols]
+        else:
+            v, gy = votes[sl], gout[sl]
+            pick = lambda a: a[sl]
+        left = np.empty((terms,) + pick(rec.couplings[0]).shape)
+        right = np.empty((terms,) + pick(rec.sums[0]).shape)
+        t, gb = 0, None  # gb: gradient of the logits entering the current iteration
+        for k in reversed(range(len(rec.couplings))):
+            c, w, s2 = pick(rec.couplings[k]), pick(rec.sums[k]), pick(rec.norms[k])
             if gb is not None:  # b_{k+1} = b_k + <y_k, v>
-                gy = (gb[..., None, :] @ v)[..., 0, :]
-                left.append(gb)
-                right.append(_squash(w, -1))
-            gw = _squash_backward(w, gy, -1)
-            left.append(c)
-            right.append(gw)
-            gc = (v @ gw[..., None])[..., 0]
-            gsoft = c * (gc - (gc * c).sum(axis=2, keepdims=True))
-            gb = gsoft if gb is None else gb + gsoft
-        np.matmul(np.stack(left, axis=-1), np.stack(right, axis=-2), out=grad[sl])
+                gy = _weighted(gb, v, flat)
+                left[t] = gb
+                np.multiply(w, _squash_factor(s2), out=right[t])
+                t += 1
+            right[t] = _squash_backward(w, gy, ax, s2)
+            left[t] = c
+            if k:
+                gc = _agreement(v, right[t], flat)
+                gc -= np.sum(gc * c, axis=ax, keepdims=True)
+                gc *= c
+                gb = gc if gb is None else gb + gc
+            t += 1
+        if flat:  # (T, s, rows*r) and (T, n, rows*r) seen as (rows, r, s, T) and (rows, r, T, n)
+            lhs = left.reshape(terms, s_n, -1, r_n).transpose(2, 3, 1, 0)
+            rhs = right.reshape(terms, n_n, -1, r_n).transpose(2, 3, 0, 1)
+        else:
+            lhs, rhs = np.moveaxis(left, 0, -1), np.moveaxis(right, 0, -2)
+        np.matmul(lhs, rhs, out=grad[sl])
     return grad
 
 
-def _routing_node(votes: Tensor, iterations: int):
+def _routing_node(votes: Tensor, iterations: int, keep_logits: bool = False):
     """Validate, route, and record one tape node; also returns the forward's
-    per-iteration logits and sums."""
+    record."""
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if votes.data.ndim not in (4, 5):
@@ -186,14 +275,14 @@ def _routing_node(votes: Tensor, iterations: int):
             f"got {votes.shape}")
     lead = votes.shape[:-3]
     v = votes.data.reshape((-1,) + votes.shape[-3:])
-    squashed, logits, sums = _route(v, iterations)
+    squashed, rec = _route(v, iterations, keep_logits)
 
     def backward(gout):
         g = np.asarray(gout).reshape(squashed.shape)
-        _accumulate(votes, _route_backward(v, logits, sums, g).reshape(votes.shape), owned=True)
+        _accumulate(votes, _route_backward(v, rec, g).reshape(votes.shape), owned=True)
 
     out = make_op(squashed.reshape(lead + squashed.shape[1:]), (votes,), backward)
-    return out, logits, sums
+    return out, rec
 
 
 def dynamic_routing(votes: Tensor, iterations: int) -> Tensor:
@@ -209,12 +298,14 @@ def dynamic_routing(votes: Tensor, iterations: int) -> Tensor:
 
 
 def dynamic_routing_trace(votes: Tensor, iterations: int) -> tuple[Tensor, RoutingState]:
-    """dynamic_routing plus the per-iteration logits/couplings/sums."""
-    out, logits, sums = _routing_node(votes, iterations)
-    unflat = lambda a: a.reshape(votes.shape[:-3] + a.shape[1:])
-    state = RoutingState(logits=[unflat(a).copy() for a in logits],
-                         couplings=[unflat(_couplings(a)) for a in logits],
-                         weighted_sums=[unflat(a).copy() for a in sums])
+    """dynamic_routing plus the per-iteration logits/couplings/sums, each laid
+    out as (..., outer, parent, block or dim)."""
+    out, rec = _routing_node(votes, iterations, keep_logits=True)
+    rows = votes.shape[:-2]
+    unflat = lambda a: (a.T if rec.flat else a).reshape(rows + (-1,)).copy()
+    state = RoutingState(logits=[unflat(a) for a in rec.logits],
+                         couplings=[unflat(a) for a in rec.couplings],
+                         weighted_sums=[unflat(a) for a in rec.sums])
     return out, state
 
 

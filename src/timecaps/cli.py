@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 import warnings
@@ -29,14 +30,15 @@ GRAD_TOLERANCE = 1e-4
 
 
 def _convert(raw: dict, key: str, kind: type, default):
-    """``kind(raw[key])`` (or of ``default``), as a ConfigError naming the key
-    when the value does not convert."""
+    """``raw[key]`` (or ``default``) as ``kind``: an integer for int, any real
+    number for float.  Anything else, bools and strings included, raises a
+    ConfigError naming the key; nothing is truncated."""
     value = raw.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
+    allowed = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, allowed):
         what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return kind(value)
 
 
 @dataclass
@@ -88,6 +90,8 @@ class RunConfig:
                 raise ConfigError(f"{key} must be a path string, got {getattr(cfg, key)!r}")
         if cfg.normalize not in ("zscore", "minmax", "none"):
             raise ConfigError(f"normalize must be zscore|minmax|none, got {cfg.normalize!r}")
+        if cfg.split_seed is not None and cfg.split_seed < 0:
+            raise ConfigError(f"split_seed must be >= 0, got {cfg.split_seed}")
         if not 0.0 < cfg.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in (0, 1), got {cfg.test_fraction}")
         cfg.train.__post_init__()
@@ -207,9 +211,10 @@ def cmd_gradcheck(args) -> int:
     corrupt = getattr(args, "inject_fault", None)
     results = run_suite(cfg, seed=args.seed or 0, corrupt=corrupt)
     failed = [r for r in results if r.max_rel_error >= GRAD_TOLERANCE]
+    width = max(len(r.name) for r in results)
     for r in results:
         status = "ok" if r.max_rel_error < GRAD_TOLERANCE else "FAIL"
-        print(f"{r.name:<14s} max_rel_error={r.max_rel_error:.3e} {status}")
+        print(f"{r.name:<{width}s} max_rel_error={r.max_rel_error:.3e} {status}")
     if failed:
         worst = max(failed, key=lambda r: r.max_rel_error)
         print(f"gradcheck FAILED: worst component {worst.name} "
@@ -282,6 +287,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ConfigError, DataFormatError, CheckpointError, ShapeError, TrainingError,
             OSError, json.JSONDecodeError) as exc:

@@ -122,6 +122,12 @@ def run_suite(cfg: ModelConfig | None = None, seed: int = 0, h: float = 1e-5,
     record("matmul_batch2", _both_operands(T.matmul, u, w, r7, h))
 
     record("full_model", _full_model_check(cfg, seed, h))
+
+    # more blocks than (outer, parent) rows: routing takes its matmul form
+    votes = rng.standard_normal((1, 2, 12, 4))
+    r8 = rng.standard_normal((1, 2, 4))
+    record("routing_many_blocks", grad_check(
+        lambda t: _weighted_sum(dynamic_routing(t, 3), r8), Tensor(votes), h))
     return results
 
 

@@ -48,6 +48,8 @@ class TrainConfig:
                                   f"got {value!r}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.lr <= 0 or self.batch_size < 1 or self.recon_weight < 0:
             raise ConfigError("lr must be > 0, batch_size >= 1, recon_weight >= 0")
         if not 0.0 < self.lambda_margin <= 1.0:

@@ -5,6 +5,7 @@ n/(1+n^2), so a unit vector halves and (3,4) maps to (25/26)*(0.6, 0.8).
 """
 
 import decimal
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -14,6 +15,7 @@ from timecaps import tensor as T
 from timecaps.capsules import (
     _NORM_EPS,
     LossParams,
+    _flat_form,
     capsule_length,
     dynamic_routing,
     dynamic_routing_trace,
@@ -23,7 +25,33 @@ from timecaps.capsules import (
     squash,
 )
 from timecaps.errors import ShapeError
+from timecaps.model import ModelConfig
 from timecaps.tensor import Tensor
+
+# The 13-class, 360-sample beat config (acceptance criterion 9).
+BEAT_CFG = ModelConfig(
+    L=360, k=4, g1=5, g2=5, g3=3, g_b=3, c_p=2, a_p=4, c_sa=1, a_sa=8, c_b=1, a_b=4,
+    n=8, c_sb=2, a_sb=8, a_sig=8, num_classes=13, routing_iters=3, decoder_fc=(24, 90),
+    decoder_deconv=((8, 2, 2), (4, 2, 2), (2, 2, 2), (2, 1, 1), (1, 1, 1)))
+
+
+def site_votes(cfg, site, batch, rng):
+    """Votes laid out as the model routes them.  At the cells they are a
+    permuted view of the vote conv's (..., rows, block, parent, dim) output;
+    at the class stage a view of (N, classes, B, a_sig) storage."""
+    if site == "class":
+        stored = rng.standard_normal((cfg.num_caps, cfg.num_classes, batch, cfg.a_sig))
+        return stored.transpose(2, 1, 0, 3)
+    lead = (batch,) if batch > 1 else ()
+    rows, block, parent, dim = ((cfg.L, cfg.c_p, cfg.c_sa, cfg.a_sa) if site == "cell_a"
+                                else (cfg.L // cfg.n, cfg.n, cfg.c_sb, cfg.a_sb))
+    stored = rng.standard_normal(lead + (rows, block, parent, dim))
+    k = len(lead)
+    return stored.transpose(tuple(range(k)) + (k, k + 2, k + 1, k + 3))
+
+
+def weighted_routing(votes, coeffs, iterations=3):
+    return T.sum_over(T.mul(dynamic_routing(votes, iterations), Tensor(coeffs)))
 
 
 def squash_norm(n):
@@ -168,14 +196,17 @@ class TestRouting:
         with pytest.raises(ValueError):
             routing_oracle(np.zeros((1, 1, 1, 1)), 0)
 
-    def test_vote_gradient_keeps_the_votes_layout(self, rng):
+    @pytest.mark.parametrize("stored_shape,flat", [((7, 3, 4, 5), True), ((12, 2, 3, 5), False)],
+                             ids=["flat", "matmul"])
+    def test_vote_gradient_keeps_the_votes_layout(self, rng, stored_shape, flat):
         # votes stored as (block, parent, outer, dim) and routed through a
         # transposed view: same output and gradient as the contiguous copy,
         # and the gradient has the view's strides, so no transposed copy
-        stored = rng.standard_normal((7, 3, 4, 5))
+        stored = rng.standard_normal(stored_shape)
         view = stored.transpose(2, 1, 0, 3)
         assert not view.flags.c_contiguous
-        coeffs = Tensor(rng.standard_normal((4, 3, 5)))
+        assert _flat_form(view.shape) == flat
+        coeffs = Tensor(rng.standard_normal(view.shape[:2] + view.shape[3:]))
         results = []
         for votes in (view, np.ascontiguousarray(view)):
             leaf = Tensor(votes, requires_grad=True)
@@ -191,6 +222,57 @@ class TestRouting:
         votes = rng.standard_normal((1, 2, 3, 4))
         _, state = dynamic_routing_trace(Tensor(votes), 2)
         assert np.array_equal(state.logits[0], np.zeros((1, 2, 3)))
+
+
+class TestRoutingAtModelSites:
+    """Both routing forms at the shapes and memory layouts of the six model
+    sites (cell A, cell B and the class stage of the toy and beat configs),
+    unbatched and at batch 16."""
+
+    SITES = [(name, cfg, site, batch)
+             for name, cfg in (("toy", ModelConfig.toy()), ("beat", BEAT_CFG))
+             for site in ("cell_a", "cell_b", "class") for batch in (1, 16)]
+    IDS = [f"{name}-{site}-b{batch}" for name, _, site, batch in SITES]
+
+    @pytest.mark.parametrize("name,cfg,site,batch", SITES, ids=IDS)
+    def test_output_matches_oracle(self, rng, name, cfg, site, batch):
+        votes = site_votes(cfg, site, batch, rng)
+        rows = votes.reshape((-1,) + votes.shape[-3:])  # a batch routes like more outer rows
+        # the shape rule: cells route on flat vectors, the class stage by matmul
+        assert _flat_form(rows.shape) == (site != "class")
+        got = dynamic_routing(Tensor(votes), 3).data
+        want = routing_oracle(rows, 3)
+        assert np.max(np.abs(got.reshape(want.shape) - want)) < 1e-10
+
+    @pytest.mark.parametrize("name,cfg,site,batch", SITES, ids=IDS)
+    def test_vote_gradient_matches_finite_differences(self, rng, name, cfg, site, batch):
+        # directional derivatives along random directions, so every vote is probed
+        votes = site_votes(cfg, site, batch, rng)
+        coeffs = rng.standard_normal(votes.shape[:-2] + votes.shape[-1:])
+        leaf = Tensor(votes, requires_grad=True)
+        weighted_routing(leaf, coeffs).backward()
+        # the votes' layout (a stride along a unit axis is arbitrary)
+        assert all(g == v for g, v, n in zip(leaf.grad.strides, votes.strides, votes.shape) if n > 1)
+        h = 1e-5
+        for _ in range(2):
+            u = rng.standard_normal(votes.shape)
+            plus = weighted_routing(Tensor(votes + h * u), coeffs).item()
+            minus = weighted_routing(Tensor(votes - h * u), coeffs).item()
+            analytic = float(np.sum(leaf.grad * u))
+            assert abs((plus - minus) / (2 * h) - analytic) < 1e-6 * max(1.0, abs(analytic))
+
+    def test_backward_memory_is_chunked(self, rng):
+        # one routing forward and backward at the beat cell-A shape, batch 16;
+        # holding the whole flat backward at once peaks near 10.8x the votes
+        votes = site_votes(BEAT_CFG, "cell_a", 16, rng)
+        coeffs = rng.standard_normal(votes.shape[:-2] + votes.shape[-1:])
+        tracemalloc.start()
+        try:
+            weighted_routing(Tensor(votes, requires_grad=True), coeffs).backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * votes.nbytes
 
 
 class TestMarginLoss:

@@ -56,6 +56,13 @@ class TestSynthCommand:
         main(["synth", "--out", str(b), "--seed", "5", "--num-per-class", "3"])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_seed_exits_2_writing_nothing(self, tmp_path, capsys):
+        # negative control: the seed reached np.random.default_rng, a traceback
+        out = tmp_path / "s.csv"
+        assert main(["synth", "--out", str(out), "--seed", "-1", "--num-per-class", "2"]) == 2
+        assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrainCommand:
     def test_writes_artifacts(self, tmp_path, synth_csv):
@@ -163,10 +170,18 @@ class TestTrainCommand:
         ("train", "epochs", "5"),
         ("train", "lr", None),
         ("model", "decoder_fc", 5),
+        (None, "min_class_count", 2.7),
+        (None, "split_seed", 1.9),
+        (None, "min_class_count", "3"),
+        (None, "split_seed", True),
+        (None, "test_fraction", "0.3"),
+        (None, "split_seed", -1),
+        ("train", "seed", -1),
     ])
     def test_mistyped_value_exits_2_naming_the_key(self, tmp_path, synth_csv, capsys,
                                                     section, key, value):
-        # negative control: each of these crashed with a traceback and exit 1
+        # negative control: each of these crashed with a traceback and exit 1,
+        # or was truncated or converted (2.7 -> 2, "3" -> 3, true -> 1) without a word
         out_dir = tmp_path / "run7"
         cfg_path = smoke_config(tmp_path, synth_csv, out_dir)
         cfg = json.loads(cfg_path.read_text())
@@ -176,6 +191,15 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg_path)]) == 2
         assert f"error: {key} must be" in capsys.readouterr().err
         assert not (out_dir / "model.ckpt").exists()
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, synth_csv, capsys):
+        # negative control: the seed reached np.random.default_rng, a traceback
+        out_dir = tmp_path / "run"
+        cfg_path = smoke_config(tmp_path, synth_csv, out_dir)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path), "--seed", "-1"]) == 2
+        assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestEvalCommand:
@@ -271,7 +295,8 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         lines = [ln for ln in out.splitlines() if "max_rel_error" in ln]
         assert len(lines) >= 6
-        for comp in ("conv1d", "conv2d", "deconv1d", "squash", "routing", "matmul_batch2", "full_model"):
+        for comp in ("conv1d", "conv2d", "deconv1d", "squash", "routing", "matmul_batch2", "full_model",
+                     "routing_many_blocks"):
             assert any(comp in ln for ln in lines)
 
     def test_fault_injection_negative_control(self, capsys):

@@ -212,23 +212,36 @@ class TestMatmul:
 
 class TestSoftmax:
     """The engine has no softmax op; routing's couplings are the one softmax,
-    taken over the block axis (axis 2) of (outer, parent, block) logits."""
+    taken over the block axis: axis 0 of (block, rows) logits in routing's
+    flat form, the last axis of (outer, parent, block) logits in its matmul
+    form.  Each case runs on both."""
+
+    @staticmethod
+    def blocks_at(x, axis):
+        """``x`` with its last (block) axis moved to ``axis``."""
+        return np.moveaxis(x, -1, axis)
 
     def test_uniform_on_zero_logits(self):
-        assert np.allclose(_couplings(np.zeros((1, 1, 4))), 0.25, atol=1e-15)
+        for axis in (0, -1):
+            out = _couplings(self.blocks_at(np.zeros((1, 1, 4)), axis), axis)
+            assert np.allclose(out, 0.25, atol=1e-15)
 
     def test_closed_form(self):
-        out = _couplings(np.array([[[0.0, math.log(3.0)]]]))
-        assert np.allclose(out, [0.25, 0.75], atol=1e-15)
+        for axis in (0, -1):
+            out = _couplings(self.blocks_at(np.array([[[0.0, math.log(3.0)]]]), axis), axis)
+            assert np.allclose(np.moveaxis(out, axis, -1), [0.25, 0.75], atol=1e-15)
 
     def test_sums_to_one(self, rng):
-        out = _couplings(rng.standard_normal((5, 6, 7)) * 10)
-        assert np.all(np.abs(out.sum(axis=2) - 1.0) < 1e-12)
-        assert np.all(out > 0)
+        for axis in (0, -1):
+            out = _couplings(self.blocks_at(rng.standard_normal((5, 6, 7)) * 10, axis), axis)
+            assert out.shape == self.blocks_at(np.empty((5, 6, 7)), axis).shape
+            assert np.all(np.abs(out.sum(axis=axis) - 1.0) < 1e-12)
+            assert np.all(out > 0)
 
     def test_shift_invariance(self, rng):
-        x = rng.standard_normal((3, 1, 8))
-        assert np.all(np.abs(_couplings(x) - _couplings(x + 123.456)) < 1e-12)
+        for axis in (0, -1):
+            x = self.blocks_at(rng.standard_normal((3, 1, 8)), axis)
+            assert np.all(np.abs(_couplings(x, axis) - _couplings(x + 123.456, axis)) < 1e-12)
 
 
 class TestBackward:

@@ -348,3 +348,8 @@ class TestTrainConfigValidation:
     def test_mistyped_value_names_the_key(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key} must be"):
             TrainConfig(**{key: value})
+
+    def test_negative_seed(self):
+        # negative control: a negative seed reached np.random.default_rng in train()
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
