@@ -15,10 +15,13 @@ Routing runs in one of two forms, picked by one shape rule (``_flat_form``)
 on the (outer, parent) row count against the block count:
 
 * more rows than blocks (the model's two cells: 2-8 blocks, thousands of
-  rows): the votes are copied once into a contiguous (block, dim, rows)
-  layout, and every iteration is elementwise ops and two-operand einsums on
-  long row vectors, with couplings (block, rows) and sums (dim, rows), so
-  each reduction runs over a leading axis;
+  rows): the votes are read as a contiguous (block, dim, rows) array, rows
+  ordered (parent, outer), and every iteration is elementwise ops and
+  two-operand einsums on long row vectors, with couplings (block, rows) and
+  sums (dim, rows), so each reduction runs over a leading axis.  Both cells'
+  vote convolutions store their votes in exactly that layout, so routing
+  reads them through a view; votes laid out otherwise are copied once.  The
+  output is returned as a view of the (dim, rows) storage;
 * otherwise (the class stage: N blocks): each product is a batched matmul
   over the rows that reads the votes in the memory layout they arrive in,
   couplings (1, block) @ votes (block, dim) for the weighted sum and votes
@@ -26,10 +29,11 @@ on the (outer, parent) row count against the block count:
 
 The forward keeps each iteration's couplings, weighted sums and their
 squared norms, so the backward recomputes no softmax and no norm.  The vote
-gradient is written into a buffer with the votes' own strides, one chunk of
-outer rows at a time, so a caller that made the votes as a permuted view
-(both cells and the class stage do) reads their gradient through the same
-view, without a transposed copy.
+gradient is written, one chunk of rows at a time, into a buffer with the
+votes' own strides (in the flat form by one contiguous einsum into the
+(block, dim, rows) buffer), so a caller that made the votes as a permuted
+view (both cells and the class stage do) reads their gradient through the
+same view, without a transposed copy.
 """
 
 from __future__ import annotations
@@ -145,10 +149,14 @@ def _flat_form(shape: tuple[int, ...]) -> bool:
     return p_n * r_n > s_n
 
 
-def _flat_votes(votes: np.ndarray) -> np.ndarray:
-    """Contiguous (s, n, P*r) copy of (P, r, s, n) votes."""
-    s_n, n_n = votes.shape[2:]
-    return np.ascontiguousarray(votes.transpose(2, 3, 0, 1)).reshape(s_n, n_n, -1)
+def _flat_votes(votes: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The (s, n, r*P) form of (P, r, s, n) votes, rows ordered (parent,
+    outer), and whether it had to be copied: votes stored that way (as both
+    cells' vote convolutions store them) are read through a view."""
+    p_n, r_n, s_n, n_n = votes.shape
+    v = votes.transpose(2, 3, 1, 0)
+    copied = not v.flags.c_contiguous
+    return (np.ascontiguousarray(v) if copied else v).reshape(s_n, n_n, r_n * p_n), copied
 
 
 def _weighted(c: np.ndarray, v: np.ndarray, flat: bool) -> np.ndarray:
@@ -168,12 +176,15 @@ def _agreement(v: np.ndarray, y: np.ndarray, flat: bool) -> np.ndarray:
 
 @dataclass
 class _Routed:
-    """What one routing forward keeps per iteration k: couplings c_k, weighted
-    sums w_k and their squared norms, in the form's layout (block or dim axis
-    leading in the flat form, trailing in the matmul form); logits only when
-    traced."""
+    """What one routing forward keeps: the votes in the form's layout (in the
+    flat form, ``copied`` says whether that is a copy of the caller's votes)
+    and per iteration k the couplings c_k, weighted sums w_k and their
+    squared norms (block or dim axis leading in the flat form, trailing in
+    the matmul form); logits only when traced."""
 
     flat: bool
+    votes: np.ndarray
+    copied: bool = False
     couplings: list[np.ndarray] = field(default_factory=list)
     sums: list[np.ndarray] = field(default_factory=list)
     norms: list[np.ndarray] = field(default_factory=list)
@@ -182,14 +193,15 @@ class _Routed:
 
 def _route(votes: np.ndarray, iterations: int, keep_logits: bool = False):
     """Routing forward on (P, r, s, n) votes: the squashed (P, r, n) output
-    and the per-iteration record."""
+    (in the flat form a view of (n, r*P) storage) and the per-iteration
+    record."""
     p_n, r_n, s_n, n_n = votes.shape
     flat = _flat_form(votes.shape)
     ax = 0 if flat else -1  # the block axis of couplings, the dim axis of sums
-    v = _flat_votes(votes) if flat else votes
+    v, copied = _flat_votes(votes) if flat else (votes, False)
     c = np.full((s_n, p_n * r_n) if flat else (p_n, r_n, s_n), 1.0 / s_n)  # softmax of zero logits
     b = np.zeros_like(c) if keep_logits else None
-    rec = _Routed(flat)
+    rec = _Routed(flat, v, copied)
     for it in range(iterations):
         w = _weighted(c, v, flat)
         s2 = np.sum(w * w, axis=ax, keepdims=True)
@@ -203,7 +215,7 @@ def _route(votes: np.ndarray, iterations: int, keep_logits: bool = False):
             a = _agreement(v, y, flat)
             b = a if b is None else b + a
             c = _couplings(b, ax)
-    out = np.ascontiguousarray(y.T).reshape(p_n, r_n, n_n) if flat else y
+    out = y.reshape(n_n, r_n, p_n).transpose(2, 1, 0) if flat else y
     return out, rec
 
 
@@ -214,26 +226,31 @@ def _route_backward(votes: np.ndarray, rec: _Routed, gout: np.ndarray) -> np.nda
     squash(w_k) and b_{k+1} = b_k + <y_k, v>.  Walking back from the output,
     the logit gradient gb flows unchanged through the additive updates, and
     dv = sum_k c_k (x) dw_k + gb_{k+1} (x) y_k.  The 2K-1 outer products are
-    stacked and contracted in one matmul per chunk of outer rows, written
-    straight into the gradient buffer, which has the memory layout of
-    ``votes``.  The logits b_0 are a constant, so no gradient is formed for
-    them.
+    stacked and contracted once per chunk of rows, straight into a gradient
+    buffer with the memory layout of ``votes``: in the flat form one
+    contiguous einsum into the (s, n, rows) buffer, in the matmul form one
+    batched matmul.  The logits b_0 are a constant, so no gradient is formed
+    for them.
     """
     p_n, r_n, s_n, n_n = votes.shape
     flat, ax = rec.flat, (0 if rec.flat else -1)
     terms = 2 * len(rec.couplings) - 1
-    grad = np.empty_like(votes, order="K")
-    # per row: the coupling and gradient stacks, about three block-sized and
-    # three dim-sized temporaries, and in the flat form the vote copy
-    per_row = r_n * ((terms + 3) * (s_n + n_n) + (s_n * n_n if flat else 0))
+    # per row: the coupling and gradient stacks and about three block-sized
+    # and three dim-sized temporaries
+    per_row = (terms + 3) * (s_n + n_n)
+    if flat:
+        total = p_n * r_n
+        grad = np.empty((s_n, n_n, total))
+        gy_all = np.ascontiguousarray(gout.transpose(2, 1, 0)).reshape(n_n, total)
+    else:
+        total, per_row = p_n, per_row * r_n
+        grad = np.empty_like(votes, order="K")
     rows = max(1, _ROUTING_CHUNK // per_row)
-    for lo in range(0, p_n, rows):
+    for lo in range(0, total, rows):
         sl = slice(lo, lo + rows)
         if flat:
-            v = _flat_votes(votes[sl])
-            gy = np.ascontiguousarray(gout[sl].reshape(-1, n_n).T)
-            cols = slice(lo * r_n, (lo + rows) * r_n)
-            pick = lambda a: a[:, cols]
+            v, gy = rec.votes[:, :, sl], gy_all[:, sl]
+            pick = lambda a: a[:, sl]
         else:
             v, gy = votes[sl], gout[sl]
             pick = lambda a: a[sl]
@@ -255,13 +272,18 @@ def _route_backward(votes: np.ndarray, rec: _Routed, gout: np.ndarray) -> np.nda
                 gc *= c
                 gb = gc if gb is None else gb + gc
             t += 1
-        if flat:  # (T, s, rows*r) and (T, n, rows*r) seen as (rows, r, s, T) and (rows, r, T, n)
-            lhs = left.reshape(terms, s_n, -1, r_n).transpose(2, 3, 1, 0)
-            rhs = right.reshape(terms, n_n, -1, r_n).transpose(2, 3, 0, 1)
+        if flat:
+            np.einsum("tsm,tnm->snm", left, right, out=grad[:, :, sl])
         else:
-            lhs, rhs = np.moveaxis(left, 0, -1), np.moveaxis(right, 0, -2)
-        np.matmul(lhs, rhs, out=grad[sl])
-    return grad
+            np.matmul(np.moveaxis(left, 0, -1), np.moveaxis(right, 0, -2), out=grad[sl])
+    if not flat:
+        return grad
+    grad = grad.reshape(s_n, n_n, r_n, p_n).transpose(3, 2, 0, 1)
+    if not rec.copied:
+        return grad
+    out = np.empty_like(votes, order="K")  # votes laid out otherwise: their own layout
+    out[...] = grad
+    return out
 
 
 def _routing_node(votes: Tensor, iterations: int, keep_logits: bool = False):
@@ -301,8 +323,9 @@ def dynamic_routing_trace(votes: Tensor, iterations: int) -> tuple[Tensor, Routi
     """dynamic_routing plus the per-iteration logits/couplings/sums, each laid
     out as (..., outer, parent, block or dim)."""
     out, rec = _routing_node(votes, iterations, keep_logits=True)
-    rows = votes.shape[:-2]
-    unflat = lambda a: (a.T if rec.flat else a).reshape(rows + (-1,)).copy()
+    rows, r_n = votes.shape[:-2], votes.shape[-3]
+    unflat = lambda a: (a.reshape(len(a), r_n, -1).transpose(2, 1, 0) if rec.flat else a
+                        ).reshape(rows + (-1,)).copy()
     state = RoutingState(logits=[unflat(a) for a in rec.logits],
                          couplings=[unflat(a) for a in rec.couplings],
                          weighted_sums=[unflat(a) for a in rec.sums])

@@ -110,6 +110,12 @@ def _write_text(path: Path, text: str):
     os.replace(tmp, path)
 
 
+def _write_csv(dataset: Dataset, path: Path):
+    tmp = path.with_name(path.name + ".partial")
+    save_csv(dataset, tmp)
+    os.replace(tmp, path)
+
+
 def _write_confusion(path: Path, confusion: np.ndarray):
     lines = [",".join(str(int(v)) for v in row) for row in confusion]
     _write_text(path, "\n".join(lines) + "\n")
@@ -135,11 +141,16 @@ def cmd_train(args) -> int:
             f"dataset has {raw.num_classes} classes, model expects {cfg.model.num_classes}")
     split_seed = cfg.split_seed if cfg.split_seed is not None else cfg.train.seed
     train_raw, test_raw = split(raw, cfg.test_fraction, split_seed)
+    if len(train_raw) == 0 or len(test_raw) == 0:
+        counts = ", ".join(str(int(n)) for n in raw.class_counts())
+        raise ConfigError(
+            f"the split left {len(train_raw)} training and {len(test_raw)} test rows "
+            f"(rows per class: {counts}); a class reaches the test split only with 2 or more rows")
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _clean_partials(out_dir)
-    save_csv(test_raw, out_dir / "test_split.csv")  # raw rows, for later eval runs
+    _write_csv(test_raw, out_dir / "test_split.csv")  # raw rows, for later eval runs
 
     train_set = _maybe_normalize(train_raw, cfg.normalize)
     test_set = _maybe_normalize(test_raw, cfg.normalize)
@@ -231,9 +242,7 @@ def cmd_synth(args) -> int:
     _clean_partials(out_path.parent)
     dataset = synth_waveforms(num_per_class=args.num_per_class, L=args.length,
                               noise_sigma=args.noise, seed=args.seed or 0)
-    tmp = out_path.with_name(out_path.name + ".partial")
-    save_csv(dataset, tmp)
-    os.replace(tmp, out_path)
+    _write_csv(dataset, out_path)
     print(f"wrote {len(dataset)} signals to {out_path}")
     return 0
 

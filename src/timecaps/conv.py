@@ -11,10 +11,19 @@ conv1d and conv2d share one core, a block convolution: a (B, L, M, C) input
 holds M independent blocks, each correlated along L with the same (Cout, g, C)
 kernels.  conv1d is the case of one block; conv2d cuts its width axis into
 W/gw non-overlapping blocks of gw, so it is a 2D correlation with height
-stride 1 and width stride gw.  The core is one matmul of the padded windows
-against the kernels; its input gradient adds one shifted slice per kernel
-tap.  The windows are not kept on the tape: backward rebuilds them from the
-input.
+stride 1 and width stride gw.  The forward is one batched matmul of each
+block's padded windows (the window matrix, im2col) against the kernels.
+conv1d stores its result (B, Lout, Cout).  conv2d stores it block-leading,
+(M, Cout, B*H) in memory, and returns a (B, H, M, Cout) view of that: the
+capsule cells route its output in that layout without a copy.
+
+The backward reads the output gradient as (M, Cout, B*Lout) through a view,
+so a gradient in the output's own layout is not copied.  The kernel
+gradient is one batched matmul of that against the window matrix, which the
+forward keeps on the tape instead of rebuilding it (only while the kernels
+need a gradient).  The input gradient is one batched matmul per kernel tap,
+written tap-major so that each tap is one contiguous run, and the taps are
+added into one zero-padded buffer.
 
 deconv1d is the exact adjoint of valid conv1d: with a shared kernel tensor K,
 <conv1d(x, K, valid), y> == <x, deconv1d(y, K)>.  Its forward is the tap
@@ -42,21 +51,21 @@ def _pad_axis1(x: np.ndarray, before: int, after: int) -> np.ndarray:
 
 
 def _windows(a: np.ndarray, count: int, width: int, stride: int) -> np.ndarray:
-    """Read-only (B, count, M, width, C) view of ``count`` windows along axis 1
-    of a (B, L, M, C) array (sliding_window_view's checks cost more than the op)."""
+    """Read-only (M, B, count, width, C) view of ``count`` windows along axis 1
+    of a (B, L, M, C) array, block axis first (sliding_window_view's checks
+    cost more than the op)."""
     batch, _, blocks, channels = a.shape
     sb, sl, sm, sc = a.strides
-    return as_strided(a, (batch, count, blocks, width, channels),
-                      (sb, stride * sl, sm, sl, sc), writeable=False)
+    return as_strided(a, (blocks, batch, count, width, channels),
+                      (sm, sb, stride * sl, sl, sc), writeable=False)
 
 
 def _scatter_taps(taps: np.ndarray, length: int, stride: int) -> np.ndarray:
     """Adjoint of ``_windows``: a (B, length, M, C) sum in which tap u of
-    window i, ``taps[u, :, i]`` of the (width, B, count, M, C) array, lands
-    on row stride*i + u."""
-    # in a tap-major C-contiguous array each tap is one contiguous run, and
-    # adding it costs far less than adding a strided slice of C-float rows
-    taps = np.ascontiguousarray(taps)
+    window i, ``taps[u, :, i]`` of the tap-major (width, B, count, M, C)
+    array, lands on row stride*i + u.  In a C-contiguous tap-major array each
+    tap is one contiguous run, and adding it costs far less than adding a
+    strided slice of C-float rows."""
     width, batch, count, blocks, channels = taps.shape
     out = np.zeros((batch, length, blocks, channels))
     for tap in range(width):
@@ -65,10 +74,12 @@ def _scatter_taps(taps: np.ndarray, length: int, stride: int) -> np.ndarray:
 
 
 def _block_conv(x: Tensor, xb: np.ndarray, kernels: Tensor, stride: int, pad: str,
-                out_shape: Callable[[int], tuple[int, ...]]) -> Tensor:
+                out_shape: Callable[[int], tuple[int, ...]], block_leading: bool) -> Tensor:
     """Correlate every block of the (B, L, M, C) view ``xb`` of ``x`` along L
     with the (Cout, g, C) kernels, giving (B, Lout, M, Cout) reshaped to
-    ``out_shape(Lout)``."""
+    ``out_shape(Lout)``.  With ``block_leading`` the result is stored (M, Cout,
+    B*Lout) and returned as a view of that storage; otherwise (one block, as
+    in conv1d) it is stored (B, Lout, Cout)."""
     if stride < 1:
         raise ValueError(f"stride must be positive, got {stride}")
     batch, length, blocks, channels = xb.shape
@@ -85,24 +96,38 @@ def _block_conv(x: Tensor, xb: np.ndarray, kernels: Tensor, stride: int, pad: st
     else:
         raise ValueError(f"pad must be 'same' or 'valid', got {pad!r}")
     lout = (length + left + right - g) // stride + 1
-    rows = batch * lout * blocks
+    rows = batch * lout
     kf = kernels.data.reshape(cout, g * channels)
 
-    def im2col() -> np.ndarray:  # (rows, g*C) copy of the padded input's windows
-        view = _windows(_pad_axis1(xb, left, right), lout, g, stride)
-        return np.ascontiguousarray(view).reshape(rows, g * channels)
-
+    # the (M, B*Lout, g*C) window matrix: one row per output position of a block
+    cols = np.ascontiguousarray(_windows(_pad_axis1(xb, left, right), lout, g, stride))
+    cols = cols.reshape(blocks, rows, g * channels)
     # a contiguous (g*C, Cout) copy of the small kernel matrix: BLAS runs the
     # skinny products of few output channels up to twice as fast on it as on kf.T
-    out = (im2col() @ np.ascontiguousarray(kf.T)).reshape(out_shape(lout))
+    kt = np.ascontiguousarray(kf.T)
+    if block_leading:
+        store = np.empty((blocks, cout, rows))
+        np.matmul(cols, kt, out=store.transpose(0, 2, 1))
+        out = store.reshape(blocks, cout, batch, lout).transpose(2, 3, 0, 1).reshape(out_shape(lout))
+    else:  # one block
+        out = (cols @ kt).reshape(out_shape(lout))
 
     def backward(gout):
-        g_arr = np.asarray(gout).reshape(rows, cout)
+        # (M, Cout, B*Lout) view of the output gradient: no copy when it has
+        # the output's own layout
+        g_arr = np.asarray(gout).reshape(batch, lout, blocks, cout).transpose(2, 3, 0, 1)
+        g_arr = g_arr.reshape(blocks, cout, rows)
         if kernels.requires_grad:
-            _accumulate(kernels, (g_arr.T @ im2col()).reshape(kernels.shape), owned=True)
+            dk = np.matmul(g_arr, cols)
+            _accumulate(kernels, dk.sum(axis=0).reshape(kernels.shape), owned=True)
         if x.requires_grad:
-            t = (g_arr @ kf).reshape(batch, lout, blocks, g, channels)
-            dxp = _scatter_taps(np.moveaxis(t, 3, 0), length + left + right, stride)
+            # tap u of every window is the output gradient times kernel tap u,
+            # written tap-major: (g, B*Lout, M, C)
+            taps = np.empty((g, rows, blocks, channels))
+            np.matmul(g_arr.transpose(0, 2, 1)[None], kernels.data.transpose(1, 0, 2)[:, None],
+                      out=taps.transpose(0, 2, 1, 3))
+            dxp = _scatter_taps(taps.reshape(g, batch, lout, blocks, channels),
+                                length + left + right, stride)
             _accumulate(x, dxp[:, left : left + length].reshape(x.shape))
 
     return make_op(out, (x, kernels), backward)
@@ -124,7 +149,7 @@ def conv1d(x: Tensor, kernels: Tensor, stride: int = 1, pad: str = "same") -> Te
         raise ShapeError(f"conv1d kernels must be (Cout, g, Cin), got {kernels.shape}")
     cout = kernels.shape[0]
     return _block_conv(x, xb[:, :, None], kernels, stride, pad,
-                       lambda lout: x.shape[:-2] + (lout, cout))
+                       lambda lout: x.shape[:-2] + (lout, cout), block_leading=False)
 
 
 def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
@@ -141,7 +166,7 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
     if w % gw:
         raise ShapeError(f"input width {w} is not a multiple of kernel width {gw}")
     return _block_conv(x, xb.reshape(batch, h, w // gw, gw), kernels, 1, "same",
-                       lambda lout: x.shape[:-3] + (lout, w // gw, cout))
+                       lambda lout: x.shape[:-3] + (lout, w // gw, cout), block_leading=True)
 
 
 def deconv1d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:

@@ -26,7 +26,7 @@ from . import tensor as T
 from .capsules import capsule_length, dynamic_routing, squash
 from .conv import conv1d, conv2d, deconv1d
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor
+from .tensor import Tensor, _accumulate, make_op
 
 DeconvSpec = tuple[int, int, int]  # (out channels, kernel width, stride)
 
@@ -318,6 +318,33 @@ def front_conv(x: Tensor, params: ModelParams, cfg: ModelConfig) -> Tensor:
     return conv1d(T.reshape(x, x.shape + (1,)), params["front_kernels"], stride=1, pad="same")
 
 
+def _cell_votes(stacked: Tensor, kernels: Tensor, parents: int, dim: int) -> Tensor:
+    """A capsule cell's votes: the vote convolution of the ([B,] rows, W, 1)
+    map ``stacked`` with the (parents*dim, g, gw) ``kernels``, as
+    ([B,] rows, parents, blocks, dim) with one block per width-gw column block.
+
+    The kernels' output channels are passed reordered from (parent, dim) to
+    (dim, parent), one tape node over the unchanged parameter.  The
+    block-leading conv2d output then holds each block's votes as (dim,
+    parent, [B,] rows), which is the flat routing form's (block, dim, rows)
+    layout, so the votes returned here are a permuted view that routing
+    reads without a copy.
+    """
+    cout, g, width = kernels.shape
+
+    def swap(a: np.ndarray, first: int, second: int) -> np.ndarray:
+        return a.reshape(first, second, g, width).transpose(1, 0, 2, 3).reshape(cout, g, width)
+
+    def backward(gout):
+        _accumulate(kernels, swap(np.asarray(gout), dim, parents), owned=True)
+
+    dim_major = make_op(swap(kernels.data, parents, dim), (kernels,), backward)
+    votes = conv2d(stacked, dim_major)  # ([B,] rows, blocks, dim*parents)
+    votes = T.reshape(votes, votes.shape[:-1] + (dim, parents))
+    k = votes.data.ndim - 4  # the rows axis
+    return T.permute(votes, tuple(range(k)) + (k, k + 3, k + 1, k + 2))
+
+
 def cell_a_forward(phi: Tensor, params: ModelParams, cfg: ModelConfig) -> Tensor:
     """Channel-sliced capsules: primary capsules along the feature axis vote
     (one kernel slid along time over each primary capsule's block of the
@@ -328,10 +355,8 @@ def cell_a_forward(phi: Tensor, params: ModelParams, cfg: ModelConfig) -> Tensor
     feats = conv1d(phi, params["cell_a_conv"], stride=1, pad="same")  # (L, c_p*a_p)
     primary = squash(T.reshape(feats, lead + (length, cfg.c_p, cfg.a_p)), axis=-1)
     stacked = T.reshape(primary, lead + (length, fa, 1))
-    votes = conv2d(stacked, params["cell_a_votes"])  # one width-a_p block per primary capsule
-    votes = T.reshape(votes, lead + (length, cfg.c_p, cfg.c_sa, cfg.a_sa))
-    k = len(lead)
-    votes = T.permute(votes, tuple(range(k)) + (k, k + 2, k + 1, k + 3))  # block axis = c_p
+    # one width-a_p block per primary capsule: block axis = c_p
+    votes = _cell_votes(stacked, params["cell_a_votes"], cfg.c_sa, cfg.a_sa)
     routed = dynamic_routing(votes, cfg.routing_iters)  # (L, c_sa, a_sa)
     return T.reshape(routed, lead + (length * cfg.c_sa, cfg.a_sa))
 
@@ -347,10 +372,8 @@ def cell_b_forward(phi: Tensor, params: ModelParams, cfg: ModelConfig) -> Tensor
     feats = conv1d(reduced, params["cell_b_conv"], stride=1, pad="same")  # (L, c_b*a_b)
     primary = squash(T.reshape(feats, lead + (segments, n, fb)), axis=-1)
     stacked = T.reshape(primary, lead + (segments, n * fb, 1))
-    votes = conv2d(stacked, params["cell_b_votes"])  # one width-fb block per segment sample
-    votes = T.reshape(votes, lead + (segments, n, cfg.c_sb, cfg.a_sb))
-    k = len(lead)
-    votes = T.permute(votes, tuple(range(k)) + (k, k + 2, k + 1, k + 3))  # block axis = n
+    # one width-fb block per segment sample: block axis = n
+    votes = _cell_votes(stacked, params["cell_b_votes"], cfg.c_sb, cfg.a_sb)
     routed = dynamic_routing(votes, cfg.routing_iters)  # (L/n, c_sb, a_sb)
     return T.reshape(routed, lead + (segments * cfg.c_sb, cfg.a_sb))
 

@@ -158,13 +158,17 @@ def train(params: ModelParams, train_set: Dataset, test_set: Dataset, cfg: Train
     """Seeded mini-batch loop: gradients averaged per batch, one Adam step per
     batch, both splits evaluated after every epoch.  Deterministic per seed.
 
-    Raises TrainingError at the first batch whose loss or any parameter
-    gradient is not finite."""
+    Raises ConfigError before the first epoch if either split is empty, and
+    TrainingError at the first batch whose loss or any parameter gradient is
+    not finite."""
     model_cfg = params.config
     if train_set.L != model_cfg.L:
         raise ConfigError(f"dataset length {train_set.L} != model length {model_cfg.L}")
     if test_set.L != model_cfg.L:
         raise ConfigError(f"test dataset length {test_set.L} != model length {model_cfg.L}")
+    if len(train_set) == 0 or len(test_set) == 0:
+        raise ConfigError(f"both splits need rows, got {len(train_set)} training "
+                          f"and {len(test_set)} test rows")
     start = time.perf_counter()
     report = TrainReport()
     state = AdamState.for_params(params.tensors(), lr=cfg.lr)

@@ -11,11 +11,13 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+from timecaps import model
 from timecaps import tensor as T
 from timecaps.capsules import (
     _NORM_EPS,
     LossParams,
     _flat_form,
+    _route,
     capsule_length,
     dynamic_routing,
     dynamic_routing_trace,
@@ -25,7 +27,7 @@ from timecaps.capsules import (
     squash,
 )
 from timecaps.errors import ShapeError
-from timecaps.model import ModelConfig
+from timecaps.model import ModelConfig, _cell_votes
 from timecaps.tensor import Tensor
 
 # The 13-class, 360-sample beat config (acceptance criterion 9).
@@ -35,16 +37,24 @@ BEAT_CFG = ModelConfig(
     decoder_deconv=((8, 2, 2), (4, 2, 2), (2, 2, 2), (2, 1, 1), (1, 1, 1)))
 
 
-def site_votes(cfg, site, batch, rng):
-    """Votes laid out as the model routes them.  At the cells they are a
-    permuted view of the vote conv's (..., rows, block, parent, dim) output;
-    at the class stage a view of (N, classes, B, a_sig) storage."""
+def site_votes(cfg, site, batch, rng, layout="model"):
+    """Votes laid out as the model routes them.  At the cells they come from
+    the real vote convolution and the cells' reshape and permute, a view of
+    the block-leading (block, dim, parent, rows) conv2d storage; with
+    ``layout="rows"`` a permuted view of (..., rows, block, parent, dim)
+    storage instead.  At the class stage a view of (N, classes, B, a_sig)
+    storage."""
     if site == "class":
         stored = rng.standard_normal((cfg.num_caps, cfg.num_classes, batch, cfg.a_sig))
         return stored.transpose(2, 1, 0, 3)
     lead = (batch,) if batch > 1 else ()
-    rows, block, parent, dim = ((cfg.L, cfg.c_p, cfg.c_sa, cfg.a_sa) if site == "cell_a"
-                                else (cfg.L // cfg.n, cfg.n, cfg.c_sb, cfg.a_sb))
+    rows, block, width, parent, dim, g = (
+        (cfg.L, cfg.c_p, cfg.a_p, cfg.c_sa, cfg.a_sa, cfg.g3) if site == "cell_a"
+        else (cfg.L // cfg.n, cfg.n, cfg.c_b * cfg.a_b, cfg.c_sb, cfg.a_sb, cfg.g_b))
+    if layout == "model":
+        stacked = Tensor(rng.standard_normal(lead + (rows, block * width, 1)))
+        kernels = Tensor(rng.standard_normal((parent * dim, g, width)) / np.sqrt(g * width))
+        return _cell_votes(stacked, kernels, parent, dim).data
     stored = rng.standard_normal(lead + (rows, block, parent, dim))
     k = len(lead)
     return stored.transpose(tuple(range(k)) + (k, k + 2, k + 1, k + 3))
@@ -229,14 +239,18 @@ class TestRoutingAtModelSites:
     sites (cell A, cell B and the class stage of the toy and beat configs),
     unbatched and at batch 16."""
 
-    SITES = [(name, cfg, site, batch)
+    SITES = [(name, cfg, site, batch, "model")
              for name, cfg in (("toy", ModelConfig.toy()), ("beat", BEAT_CFG))
              for site in ("cell_a", "cell_b", "class") for batch in (1, 16)]
-    IDS = [f"{name}-{site}-b{batch}" for name, _, site, batch in SITES]
+    # the cells' votes in a layout the flat form has to copy
+    SITES += [(name, cfg, site, 16, "rows") for name, cfg, site, batch, _ in SITES
+              if site != "class" and batch == 16]
+    IDS = [f"{name}-{site}-b{batch}" + ("-rows" if layout == "rows" else "")
+           for name, _, site, batch, layout in SITES]
 
-    @pytest.mark.parametrize("name,cfg,site,batch", SITES, ids=IDS)
-    def test_output_matches_oracle(self, rng, name, cfg, site, batch):
-        votes = site_votes(cfg, site, batch, rng)
+    @pytest.mark.parametrize("name,cfg,site,batch,layout", SITES, ids=IDS)
+    def test_output_matches_oracle(self, rng, name, cfg, site, batch, layout):
+        votes = site_votes(cfg, site, batch, rng, layout)
         rows = votes.reshape((-1,) + votes.shape[-3:])  # a batch routes like more outer rows
         # the shape rule: cells route on flat vectors, the class stage by matmul
         assert _flat_form(rows.shape) == (site != "class")
@@ -244,10 +258,10 @@ class TestRoutingAtModelSites:
         want = routing_oracle(rows, 3)
         assert np.max(np.abs(got.reshape(want.shape) - want)) < 1e-10
 
-    @pytest.mark.parametrize("name,cfg,site,batch", SITES, ids=IDS)
-    def test_vote_gradient_matches_finite_differences(self, rng, name, cfg, site, batch):
+    @pytest.mark.parametrize("name,cfg,site,batch,layout", SITES, ids=IDS)
+    def test_vote_gradient_matches_finite_differences(self, rng, name, cfg, site, batch, layout):
         # directional derivatives along random directions, so every vote is probed
-        votes = site_votes(cfg, site, batch, rng)
+        votes = site_votes(cfg, site, batch, rng, layout)
         coeffs = rng.standard_normal(votes.shape[:-2] + votes.shape[-1:])
         leaf = Tensor(votes, requires_grad=True)
         weighted_routing(leaf, coeffs).backward()
@@ -260,6 +274,25 @@ class TestRoutingAtModelSites:
             minus = weighted_routing(Tensor(votes - h * u), coeffs).item()
             analytic = float(np.sum(leaf.grad * u))
             assert abs((plus - minus) / (2 * h) - analytic) < 1e-6 * max(1.0, abs(analytic))
+
+    @pytest.mark.parametrize("name,cfg", [("toy", ModelConfig.toy()), ("beat", BEAT_CFG)])
+    @pytest.mark.parametrize("site", ["cell_a", "cell_b"])
+    def test_flat_form_reads_model_votes_without_a_copy(self, rng, monkeypatch, name, cfg, site):
+        # the votes the cells make are a view of the vote conv's output, which
+        # routing reads as its (block, dim, rows) form without copying, and
+        # the vote gradient comes back with the votes' own strides
+        made = []
+        real_conv2d = model.conv2d
+        monkeypatch.setattr(model, "conv2d", lambda *a: made.append(real_conv2d(*a)) or made[-1])
+        votes = site_votes(cfg, site, 16, rng)
+        rows = votes.reshape((-1,) + votes.shape[-3:])
+        _, rec = _route(rows, 3)
+        assert rec.flat and not rec.copied
+        assert np.shares_memory(rec.votes, made[0].data)
+        leaf = Tensor(votes, requires_grad=True)
+        weighted_routing(leaf, rng.standard_normal(votes.shape[:-2] + votes.shape[-1:])).backward()
+        # (a stride along a unit axis is arbitrary)
+        assert all(g == v for g, v, n in zip(leaf.grad.strides, votes.strides, votes.shape) if n > 1)
 
     def test_backward_memory_is_chunked(self, rng):
         # one routing forward and backward at the beat cell-A shape, batch 16;

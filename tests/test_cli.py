@@ -77,6 +77,37 @@ class TestTrainCommand:
         report = json.loads((out_dir / "report.json").read_text())
         assert len(report["epochs"]) == 1
 
+    def test_empty_test_split_exits_2_writing_nothing(self, tmp_path, capsys):
+        # negative control: with one row per class every row stays in
+        # training, and train used to run an epoch, then exit 1 with a
+        # traceback from evaluate(), leaving an empty test_split.csv
+        rng = np.random.default_rng(0)
+        data = tmp_path / "one_per_class.csv"
+        data.write_text("".join(f"{c}," + ",".join(f"{v:.6f}" for v in rng.standard_normal(32)) + "\n"
+                                for c in range(3)))
+        out_dir = tmp_path / "run"
+        cfg = smoke_config(tmp_path, data, out_dir)
+        with pytest.warns(UserWarning, match="keeping all in train"):
+            assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "3 training and 0 test rows" in err and "rows per class: 1, 1, 1" in err
+        assert not out_dir.exists()
+
+    def test_interrupted_test_split_write_leaves_no_file(self, tmp_path, synth_csv, monkeypatch):
+        # negative control: test_split.csv used to be written in place, so a
+        # write cut short left a truncated file under the final name
+        def save_then_fail(dataset, path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("0,1.5")
+            raise OSError("disk full")
+
+        monkeypatch.setattr("timecaps.cli.save_csv", save_then_fail)
+        out_dir = tmp_path / "run"
+        cfg = smoke_config(tmp_path, synth_csv, out_dir)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert not (out_dir / "test_split.csv").exists()
+        assert not (out_dir / "model.ckpt").exists()
+
     def test_missing_dataset_exits_2_without_artifacts(self, tmp_path):
         out_dir = tmp_path / "run2"
         cfg = smoke_config(tmp_path, tmp_path / "nope.csv", out_dir)

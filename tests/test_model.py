@@ -20,6 +20,7 @@ from timecaps.model import (
     param_shapes,
 )
 from timecaps.tensor import Tensor
+from timecaps.training import TrainConfig, total_loss
 
 
 def random_valid_config(rng) -> ModelConfig:
@@ -318,3 +319,30 @@ class TestParameterCount:
     def test_alpha_beta_contribute_two(self, toy_cfg):
         shapes = param_shapes(toy_cfg)
         assert int(np.prod(shapes["alpha"])) + int(np.prod(shapes["beta"])) == 2
+
+
+def tape_ops(root: Tensor) -> int:
+    """Graph nodes reachable from ``root`` that carry a backward closure."""
+    seen, stack, ops = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        ops += node._backward is not None
+        stack.extend(node._parents)
+    return ops
+
+
+class TestTapeSize:
+    # Tape nodes of one batched toy forward and its per-row losses.  Every
+    # node costs Python overhead per batch, so a change that grows the tape
+    # must raise this bound on purpose; one that shrinks it should lower it.
+    TAPE_OPS = 75
+
+    def test_batched_toy_tape_does_not_grow(self, toy_cfg, rng):
+        params = init_params(toy_cfg, seed=0)
+        labels = np.array([0, 1, 2, 0])
+        x = Tensor(rng.standard_normal((len(labels), toy_cfg.L)))
+        fwd = model_forward(x, params, toy_cfg, mask_class=labels)
+        assert tape_ops(total_loss(fwd, x, labels, TrainConfig())) <= self.TAPE_OPS

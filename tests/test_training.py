@@ -112,6 +112,18 @@ class TestTrainLoop:
         for k, v in out.items():
             assert np.array_equal(v.data, before[k])
 
+    @pytest.mark.parametrize("empty", ["train", "test"])
+    def test_empty_split_rejected_before_epoch_one(self, tiny_cfg, rng, empty):
+        # negative control: an empty split used to run a whole epoch, then
+        # fail in evaluate() with a ValueError
+        params = init_params(tiny_cfg, seed=0)
+        rows, none = small_dataset(rng, tiny_cfg), Dataset([], tiny_cfg.L, tiny_cfg.num_classes)
+        splits = (none, rows) if empty == "train" else (rows, none)
+        logged = []
+        with pytest.raises(ConfigError, match="both splits need rows"):
+            train(params, *splits, TrainConfig(epochs=1, batch_size=4, seed=0), log=logged.append)
+        assert logged == []
+
     def test_length_mismatch_rejected(self, tiny_cfg, rng):
         params = init_params(tiny_cfg, seed=0)
         bad = Dataset([LabeledSignal(rng.standard_normal(16), 0),
