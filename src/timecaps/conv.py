@@ -37,7 +37,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeError
 from .tensor import Tensor, _accumulate, make_op
@@ -52,12 +51,15 @@ def _pad_axis1(x: np.ndarray, before: int, after: int) -> np.ndarray:
 
 def _windows(a: np.ndarray, count: int, width: int, stride: int) -> np.ndarray:
     """Read-only (M, B, count, width, C) view of ``count`` windows along axis 1
-    of a (B, L, M, C) array, block axis first (sliding_window_view's checks
-    cost more than the op)."""
+    of a C-contiguous (B, L, M, C) array, block axis first (as_strided and
+    sliding_window_view cost several times more than the op on arrays this
+    small)."""
     batch, _, blocks, channels = a.shape
     sb, sl, sm, sc = a.strides
-    return as_strided(a, (blocks, batch, count, width, channels),
-                      (sm, sb, stride * sl, sl, sc), writeable=False)
+    view = np.ndarray((blocks, batch, count, width, channels), a.dtype, a, 0,
+                      (sm, sb, stride * sl, sl, sc))
+    view.flags.writeable = False
+    return view
 
 
 def _scatter_taps(taps: np.ndarray, length: int, stride: int) -> np.ndarray:
@@ -128,7 +130,7 @@ def _block_conv(x: Tensor, xb: np.ndarray, kernels: Tensor, stride: int, pad: st
                       out=taps.transpose(0, 2, 1, 3))
             dxp = _scatter_taps(taps.reshape(g, batch, lout, blocks, channels),
                                 length + left + right, stride)
-            _accumulate(x, dxp[:, left : left + length].reshape(x.shape))
+            _accumulate(x, dxp[:, left : left + length].reshape(x.shape), owned=True)
 
     return make_op(out, (x, kernels), backward)
 
@@ -193,7 +195,7 @@ def deconv1d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
     kf = kernels.data.reshape(cin, g * cout)
 
     def backward(gout):
-        g_arr = np.asarray(gout).reshape(batch, lout, 1, cout)
+        g_arr = np.ascontiguousarray(gout).reshape(batch, lout, 1, cout)
         wf = np.ascontiguousarray(_windows(g_arr, lin, g, stride)).reshape(batch * lin, g * cout)
         if x.requires_grad:
             _accumulate(x, (wf @ kf.T).reshape(x.shape), owned=True)
