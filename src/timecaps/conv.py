@@ -19,10 +19,8 @@ capsule cells route its output in that layout without a copy.
 
 The backward reads the output gradient as (M, Cout, B*Lout) through a view,
 so a gradient in the output's own layout is not copied, and it never
-rebuilds the window matrix.  The kernel gradient is one batched matmul of
-that gradient against the window matrix when the forward kept it (up to
-_KEEP_WINDOWS floats); a larger one is not kept, and the kernel gradient is
-formed per tap instead, from slabs of a zero-padded copy of the input.  The
+rebuilds the window matrix: the forward keeps it on the tape, and the kernel
+gradient is one batched matmul of the output gradient against it.  The
 input gradient is one batched matmul per kernel tap, written tap-major so
 that each tap is one contiguous run, and the taps are added into one
 zero-padded buffer.
@@ -77,13 +75,6 @@ def _scatter_taps(taps: np.ndarray, length: int, stride: int) -> np.ndarray:
     return out
 
 
-# Floats of window matrix a convolution keeps on the tape for its kernel
-# gradient (512 KiB).  A larger one is not kept: the backward then forms the
-# kernel gradient per tap from a padded copy of the input, which costs a
-# little more time and no memory between forward and backward.
-_KEEP_WINDOWS = 1 << 16
-
-
 def _block_conv(x: Tensor, xb: np.ndarray, kernels: Tensor, stride: int, pad: str,
                 out_shape: Callable[[int], tuple[int, ...]], block_leading: bool) -> Tensor:
     """Correlate every block of the (B, L, M, C) view ``xb`` of ``x`` along L
@@ -113,7 +104,6 @@ def _block_conv(x: Tensor, xb: np.ndarray, kernels: Tensor, stride: int, pad: st
     # the (M, B*Lout, g*C) window matrix: one row per output position of a block
     cols = np.ascontiguousarray(_windows(_pad_axis1(xb, left, right), lout, g, stride))
     cols = cols.reshape(blocks, rows, g * channels)
-    kept = cols if cols.size <= _KEEP_WINDOWS else None
     # a contiguous (g*C, Cout) copy of the small kernel matrix: BLAS runs the
     # skinny products of few output channels up to twice as fast on it as on kf.T
     kt = np.ascontiguousarray(kf.T)
@@ -130,14 +120,7 @@ def _block_conv(x: Tensor, xb: np.ndarray, kernels: Tensor, stride: int, pad: st
         g_arr = np.asarray(gout).reshape(batch, lout, blocks, cout).transpose(2, 3, 0, 1)
         g_arr = g_arr.reshape(blocks, cout, rows)
         if kernels.requires_grad:
-            if kept is not None:
-                dk = np.matmul(g_arr, kept).sum(axis=0).reshape(kernels.shape)
-            else:
-                # per-tap products over one zero-padded buffer: tap u of block
-                # m in row b reads the slab xp[b, u : u + stride*Lout : stride, m]
-                slabs = _windows(_pad_axis1(xb, left, right), lout, g, stride).transpose(0, 1, 3, 2, 4)
-                g4 = g_arr.reshape(blocks, cout, batch, lout).transpose(0, 2, 1, 3)[:, :, None]
-                dk = np.matmul(g4, slabs).sum(axis=(0, 1)).transpose(1, 0, 2)
+            dk = np.matmul(g_arr, cols).sum(axis=0).reshape(kernels.shape)
             _accumulate(kernels, dk, owned=True)
         if x.requires_grad:
             # tap u of every window is the output gradient times kernel tap u,

@@ -26,7 +26,7 @@ from . import tensor as T
 from .capsules import capsule_length, dynamic_routing, squash
 from .conv import conv1d, conv2d, deconv1d
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, _accumulate, make_op
+from .tensor import Tensor
 
 DeconvSpec = tuple[int, int, int]  # (out channels, kernel width, stride)
 
@@ -324,21 +324,15 @@ def _cell_votes(stacked: Tensor, kernels: Tensor, parents: int, dim: int) -> Ten
     ([B,] rows, parents, blocks, dim) with one block per width-gw column block.
 
     The kernels' output channels are passed reordered from (parent, dim) to
-    (dim, parent), one tape node over the unchanged parameter.  The
+    (dim, parent), so the parameter itself keeps its layout.  The
     block-leading conv2d output then holds each block's votes as (dim,
     parent, [B,] rows), which is the flat routing form's (block, dim, rows)
     layout, so the votes returned here are a permuted view that routing
     reads without a copy.
     """
     cout, g, width = kernels.shape
-
-    def swap(a: np.ndarray, first: int, second: int) -> np.ndarray:
-        return a.reshape(first, second, g, width).transpose(1, 0, 2, 3).reshape(cout, g, width)
-
-    def backward(gout):
-        _accumulate(kernels, swap(np.asarray(gout), dim, parents), owned=True)
-
-    dim_major = make_op(swap(kernels.data, parents, dim), (kernels,), backward)
+    dim_major = T.reshape(T.permute(T.reshape(kernels, (parents, dim, g, width)), (1, 0, 2, 3)),
+                          (cout, g, width))
     votes = conv2d(stacked, dim_major)  # ([B,] rows, blocks, dim*parents)
     votes = T.reshape(votes, votes.shape[:-1] + (dim, parents))
     k = votes.data.ndim - 4  # the rows axis

@@ -8,7 +8,6 @@ vectorized implementations.
 import numpy as np
 import pytest
 
-from timecaps import conv
 from timecaps import tensor as T
 from timecaps.conv import conv1d, conv2d, deconv1d
 from timecaps.errors import ShapeError
@@ -165,38 +164,6 @@ class TestConv2d:
             T.sum_over(T.mul(om, Tensor(cot[..., m, :]))).backward()
             assert np.allclose(xt.grad[..., 4 * m : 4 * m + 4, 0], xm.grad, rtol=1e-13, atol=1e-13)
         assert np.allclose(kt.grad, kb.grad, rtol=1e-13, atol=1e-13)
-
-class TestKernelGradientForms:
-    """A convolution keeps its window matrix for the kernel gradient only up
-    to conv._KEEP_WINDOWS floats; past that, the backward forms the kernel
-    gradient per tap from a padded copy of the input.  Both forms must give
-    the same gradients."""
-
-    CASES = {
-        "conv1d-same": lambda x, k: conv1d(x, k, 1, "same"),
-        "conv1d-same-stride3": lambda x, k: conv1d(x, k, 3, "same"),
-        "conv1d-valid-stride2": lambda x, k: conv1d(x, k, 2, "valid"),
-        "conv2d": conv2d,
-    }
-
-    @pytest.mark.parametrize("case", list(CASES))
-    def test_per_tap_form_matches_kept_windows(self, rng, monkeypatch, case):
-        if case == "conv2d":
-            x, k = rng.standard_normal((3, 7, 12, 1)), rng.standard_normal((5, 3, 4))
-        else:
-            x, k = rng.standard_normal((3, 11, 2)), rng.standard_normal((4, 4, 2))
-        op = self.CASES[case]
-        cot = rng.standard_normal(op(Tensor(x), Tensor(k)).shape)
-        grads = []
-        for keep in (conv._KEEP_WINDOWS, 0):
-            monkeypatch.setattr(conv, "_KEEP_WINDOWS", keep)
-            xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
-            T.sum_over(T.mul(op(xt, kt), Tensor(cot))).backward()
-            grads.append((xt.grad, kt.grad))
-        (dx_kept, dk_kept), (dx_taps, dk_taps) = grads
-        assert np.allclose(dk_taps, dk_kept, rtol=1e-13, atol=1e-13)
-        assert np.array_equal(dx_taps, dx_kept)
-
 
 class TestDeconv1d:
     def test_single_site_scatter(self):
