@@ -294,30 +294,22 @@ class TestRoutingAtModelSites:
         # (a stride along a unit axis is arbitrary)
         assert all(g == v for g, v, n in zip(leaf.grad.strides, votes.strides, votes.shape) if n > 1)
 
-    @staticmethod
-    def peak_over_votes(rng, layout):
-        """Traced peak of one routing forward and backward at the beat cell-A
-        shape, batch 16, over the size of the votes."""
-        votes = site_votes(BEAT_CFG, "cell_a", 16, rng, layout)
-        coeffs = rng.standard_normal(votes.shape[:-2] + votes.shape[-1:])
-        tracemalloc.start()
-        try:
-            weighted_routing(Tensor(votes, requires_grad=True), coeffs).backward()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return peak / votes.nbytes
-
     def test_backward_memory_is_chunked(self, rng):
-        # model-made votes peak near 6.3x; holding the whole flat backward at
-        # once peaks near 10.3x
-        assert self.peak_over_votes(rng, "model") < 10
-
-    def test_backward_memory_is_chunked_for_copied_votes(self, rng):
-        # votes laid out otherwise are copied once, and the copy stays on the
-        # tape until the backward: near 7.3x, and near 11.3x when the whole
-        # flat backward is held at once
-        assert self.peak_over_votes(rng, "rows") < 9
+        # traced peak of one routing forward and backward at the beat cell-A
+        # shape, batch 16.  Model-made votes peak near 6.3x their size, and
+        # near 10.3x when the whole flat backward is held at once.  Votes laid
+        # out otherwise are copied once, and the copy stays on the tape until
+        # the backward: near 7.3x, and near 11.3x unchunked.
+        for layout, bound in (("model", 10), ("rows", 9)):
+            votes = site_votes(BEAT_CFG, "cell_a", 16, rng, layout)
+            coeffs = rng.standard_normal(votes.shape[:-2] + votes.shape[-1:])
+            tracemalloc.start()
+            try:
+                weighted_routing(Tensor(votes, requires_grad=True), coeffs).backward()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * votes.nbytes, layout
 
 
 class TestMarginLoss:
