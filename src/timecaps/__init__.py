@@ -5,6 +5,7 @@ from .capsules import (
     LossParams,
     RoutingState,
     capsule_length,
+    class_votes,
     dynamic_routing,
     dynamic_routing_trace,
     margin_loss,
@@ -35,10 +36,12 @@ from .model import (
 from .optim import AdamState, adam_step
 from .tensor import Tensor, no_grad
 from .training import (
+    Checkpoint,
     TrainConfig,
     TrainReport,
     evaluate,
     load_checkpoint,
+    read_checkpoint,
     save_checkpoint,
     total_loss,
     train,

@@ -34,6 +34,11 @@ votes' own strides (in the flat form by one contiguous einsum into the
 (block, dim, rows) buffer), so a caller that made the votes as a permuted
 view (both cells and the class stage do) reads their gradient through the
 same view, without a transposed copy.
+
+The class stage's votes come from ``class_votes``, which stores them
+example-major, (B, N, C, a_sig) in memory, and returns the (B, C, N, a_sig)
+view that routing takes: each (example, class) row of N votes lies inside
+its example's region, a (N, a_sig) matrix with a row stride of C*a_sig.
 """
 
 from __future__ import annotations
@@ -118,6 +123,51 @@ def squash(t: Tensor, axis: int = -1) -> Tensor:
         _accumulate(t, _squash_backward(t.data, np.asarray(gout), axis), owned=True)
 
     return make_op(_squash(t.data, axis), (t,), backward)
+
+
+def _capsule_major(votes: np.ndarray) -> np.ndarray:
+    """The (N, B, C*a_sig) view of (B, C, N, a_sig) class votes (or of their
+    gradient) stored example-major, as (B, N, C, a_sig); votes laid out
+    otherwise are copied."""
+    batch, classes, n_caps, a_sig = votes.shape
+    return votes.transpose(0, 2, 1, 3).reshape(batch, n_caps, classes * a_sig).transpose(1, 0, 2)
+
+
+def class_votes(u: Tensor, weights: Tensor) -> Tensor:
+    """Every capsule's vote for every class: ([B,] N, a_s) capsules through
+    their (N, a_s, C, a_sig) transforms give (B, C, N, a_sig) votes, one
+    outer row per example (B = 1 without a batch axis).
+
+    The forward is one batched matmul over the N capsules, the (N, B, a_s)
+    view of the capsules times the (N, a_s, C*a_sig) weights, written
+    through a transposed view into (B, N, C, a_sig) storage; the votes are a
+    permuted view of it.  The backward reads the vote gradient, which
+    routing writes in the votes' own layout, through the same view, and runs
+    two batched matmuls over N: G @ W^T for the capsules and U^T @ G for the
+    weights.  One tape node.
+    """
+    if (weights.data.ndim != 4 or u.data.ndim not in (2, 3)
+            or u.shape[-2:] != weights.shape[:2]):
+        raise ShapeError(f"class_votes needs ([B,] N, a_s) capsules and (N, a_s, C, a_sig) "
+                         f"weights, got {u.shape} and {weights.shape}")
+    n_caps, a_s, classes, a_sig = weights.shape
+    ut = u.data.reshape(-1, n_caps, a_s).transpose(1, 0, 2)  # (N, B, a_s)
+    batch = ut.shape[1]
+    wf = weights.data.reshape(n_caps, a_s, classes * a_sig)
+    votes = np.empty((batch, n_caps, classes, a_sig)).transpose(0, 2, 1, 3)
+    np.matmul(ut, wf, out=_capsule_major(votes))
+
+    def backward(gout):
+        g = _capsule_major(np.asarray(gout))
+        if u.requires_grad:
+            du = np.empty((batch, n_caps, a_s))
+            np.matmul(g, wf.transpose(0, 2, 1), out=du.transpose(1, 0, 2))
+            _accumulate(u, du.reshape(u.shape), owned=True)
+        if weights.requires_grad:
+            _accumulate(weights, np.matmul(ut.transpose(0, 2, 1), g).reshape(weights.shape),
+                        owned=True)
+
+    return make_op(votes, (u, weights), backward)
 
 
 def capsule_length(t: Tensor, axis: int = -1) -> Tensor:

@@ -24,7 +24,7 @@ from .errors import CheckpointError, ConfigError, DataFormatError, ShapeError, T
 from .gradcheck import run_suite
 from .model import ModelConfig, ModelParams, init_params, model_forward
 from .tensor import Tensor, no_grad
-from .training import TrainConfig, evaluate, load_checkpoint, save_checkpoint, train
+from .training import NORMALIZE_MODES, TrainConfig, evaluate, read_checkpoint, save_checkpoint, train
 
 GRAD_TOLERANCE = 1e-4
 
@@ -88,7 +88,7 @@ class RunConfig:
         for key in ("data", "out"):
             if not isinstance(getattr(cfg, key), (str, type(None))):
                 raise ConfigError(f"{key} must be a path string, got {getattr(cfg, key)!r}")
-        if cfg.normalize not in ("zscore", "minmax", "none"):
+        if cfg.normalize not in NORMALIZE_MODES:
             raise ConfigError(f"normalize must be zscore|minmax|none, got {cfg.normalize!r}")
         if cfg.split_seed is not None and cfg.split_seed < 0:
             raise ConfigError(f"split_seed must be >= 0, got {cfg.split_seed}")
@@ -158,7 +158,7 @@ def cmd_train(args) -> int:
     params, report = train(params, train_set, test_set, cfg.train, log=print)
 
     ckpt_tmp = out_dir / "model.ckpt.partial"
-    save_checkpoint(params, ckpt_tmp)
+    save_checkpoint(params, ckpt_tmp, normalize=cfg.normalize)
     os.replace(ckpt_tmp, out_dir / "model.ckpt")
     _write_text(out_dir / "report.json", report.to_json())
     if report.confusion is not None:
@@ -169,12 +169,19 @@ def cmd_train(args) -> int:
 
 def _inference_setup(args) -> tuple[ModelParams, Dataset, Path]:
     """Checkpoint, normalized dataset of matching length, and a clean output
-    directory for ``eval`` and ``reconstruct``."""
-    params = load_checkpoint(args.checkpoint)
+    directory for ``eval`` and ``reconstruct``.  The data is normalized as
+    the checkpoint records (zscore when it records nothing); a conflicting
+    ``--normalize`` is a ConfigError naming both modes."""
+    ckpt = read_checkpoint(args.checkpoint)
+    params = ckpt.params
+    mode = ckpt.normalize or args.normalize or "zscore"
+    if args.normalize is not None and args.normalize != mode:
+        raise ConfigError(f"--normalize {args.normalize} conflicts with the mode the checkpoint "
+                          f"was trained with, {ckpt.normalize}")
     dataset = load_csv(args.data, num_classes=params.config.num_classes)
     if dataset.L != params.config.L:
         raise ConfigError(f"dataset signal length {dataset.L} != checkpoint L {params.config.L}")
-    dataset = _maybe_normalize(dataset, args.normalize)
+    dataset = _maybe_normalize(dataset, mode)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _clean_partials(out_dir)
@@ -264,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--out", default=".")
-    p_eval.add_argument("--normalize", default="zscore", choices=["zscore", "minmax", "none"])
+    p_eval.add_argument("--normalize", default=None, choices=NORMALIZE_MODES,
+                        help="input normalization (default: the checkpoint's, else zscore)")
     p_eval.set_defaults(func=cmd_eval)
 
     p_rec = sub.add_parser("reconstruct", help="write original/reconstruction CSV pairs")
@@ -273,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--out", default=".")
     p_rec.add_argument("--k", type=int, default=3)
     p_rec.add_argument("--seed", type=int, default=0)
-    p_rec.add_argument("--normalize", default="zscore", choices=["zscore", "minmax", "none"])
+    p_rec.add_argument("--normalize", default=None, choices=NORMALIZE_MODES,
+                       help="input normalization (default: the checkpoint's, else zscore)")
     p_rec.set_defaults(func=cmd_reconstruct)
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference check of all gradients")

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .capsules import LossParams, dynamic_routing, margin_loss, squash
+from .capsules import LossParams, class_votes, dynamic_routing, margin_loss, squash
 from .conv import conv1d, conv2d, deconv1d
 from .model import ModelConfig, init_params, model_forward
 from .tensor import Tensor
@@ -114,8 +114,8 @@ def run_suite(cfg: ModelConfig | None = None, seed: int = 0, h: float = 1e-5,
     lengths = rng.uniform(0.15, 0.85, size=5)
     record("margin_loss", grad_check(lambda t: margin_loss(t, 2, LossParams()), Tensor(lengths), h))
 
-    # the class votes' shapes: capsule rows (N, 1, B, a) broadcast against
-    # (N, classes, a, b) transforms, so their adjoint sums over the classes
+    # a batched matmul whose left operand is broadcast along a unit batch
+    # axis, so its adjoint sums over that axis
     u = rng.standard_normal((5, 1, 2, 3))
     w = rng.standard_normal((5, 2, 3, 4))
     r7 = rng.standard_normal((5, 2, 2, 4))
@@ -128,6 +128,13 @@ def run_suite(cfg: ModelConfig | None = None, seed: int = 0, h: float = 1e-5,
     r8 = rng.standard_normal((1, 2, 4))
     record("routing_many_blocks", grad_check(
         lambda t: _weighted_sum(dynamic_routing(t, 3), r8), Tensor(votes), h))
+
+    # the class stage's votes at batch 2: (B, N, a_s) capsules through
+    # (N, a_s, classes, a_sig) transforms
+    u = rng.standard_normal((2, 5, 3))
+    w = rng.standard_normal((5, 3, 2, 4))
+    r9 = rng.standard_normal((2, 2, 5, 4))
+    record("class_votes", _both_operands(class_votes, u, w, r9, h))
     return results
 
 

@@ -11,6 +11,11 @@ which its output then carries: (B, L) -> (B, L, k) and so on):
   classification_forward  (N, a_s)        -> (num_classes, a_sig)
   decoder_forward         class capsules  -> (L,)
 
+Parameter layouts chosen for the memory layouts the stages route in:
+``cell_a_votes`` (c_sa*a_sa, g3, a_p) and ``cell_b_votes`` (c_sb*a_sb, g_b,
+c_b*a_b) order their output channels (dim, parent), channel d*parents + p,
+and ``class_weights`` is (N, a_s, num_classes, a_sig).
+
 ``classify`` runs everything up to the class capsules (all prediction
 needs); ``model_forward`` adds the decoder's reconstruction.
 """
@@ -23,7 +28,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import tensor as T
-from .capsules import capsule_length, dynamic_routing, squash
+from .capsules import capsule_length, class_votes, dynamic_routing, squash
 from .conv import conv1d, conv2d, deconv1d
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor
@@ -229,7 +234,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         "cell_b_votes": (cfg.c_sb * cfg.a_sb, cfg.g_b, fb),
         "alpha": (1,),
         "beta": (1,),
-        "class_weights": (cfg.num_caps, cfg.num_classes, cfg.a_sa, cfg.a_sig),
+        "class_weights": (cfg.num_caps, cfg.a_sa, cfg.num_classes, cfg.a_sig),
     }
     fc1, fc2 = cfg.decoder_fc
     flat = cfg.num_classes * cfg.a_sig
@@ -245,12 +250,41 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def v1_param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Parameter shapes in the first checkpoint layout, which is also the
+    order ``init_params`` draws values in: ``class_weights`` is (N,
+    num_classes, a_s, a_sig) there.  The vote kernels keep their shapes but
+    order their output channels (parent, dim)."""
+    shapes = param_shapes(cfg)
+    n_caps, a_s, classes, a_sig = shapes["class_weights"]
+    shapes["class_weights"] = (n_caps, classes, a_s, a_sig)
+    return shapes
+
+
+def from_v1_layout(cfg: ModelConfig, name: str, data: np.ndarray) -> np.ndarray:
+    """One parameter in the first checkpoint layout (see ``v1_param_shapes``)
+    as a contiguous array in the current one: the vote kernels' output
+    channels go from (parent, dim) to (dim, parent), and ``class_weights``
+    from (N, num_classes, a_s, a_sig) to (N, a_s, num_classes, a_sig).
+    Every other parameter is returned as is."""
+    if name == "class_weights":
+        return np.ascontiguousarray(data.transpose(0, 2, 1, 3))
+    if name in ("cell_a_votes", "cell_b_votes"):
+        parents, dim = (cfg.c_sa, cfg.a_sa) if name == "cell_a_votes" else (cfg.c_sb, cfg.a_sb)
+        cout, g, width = data.shape
+        return np.ascontiguousarray(
+            data.reshape(parents, dim, g, width).transpose(1, 0, 2, 3)).reshape(cout, g, width)
+    return data
+
+
 def init_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
     """Glorot-uniform kernels and weights, small positive biases (keeps the
-    decoder's ReLU units initially live), unit concat scalars."""
+    decoder's ReLU units initially live), unit concat scalars.  Values are
+    drawn in the first checkpoint layout and reordered once, so every seed
+    gives the same initial weights in either layout."""
     rng = np.random.default_rng(seed)
     tensors: dict[str, Tensor] = {}
-    for name, shape in param_shapes(cfg).items():
+    for name, shape in v1_param_shapes(cfg).items():
         if name in ("alpha", "beta"):
             data = np.ones(shape)
         elif name.endswith("_b"):
@@ -268,7 +302,7 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
         else:  # convolution kernels (Cout, g, Cin)
             cout, width, cin = shape
             data = _glorot(rng, shape, width * cin, width * cout)
-        tensors[name] = Tensor(data, requires_grad=True)
+        tensors[name] = Tensor(from_v1_layout(cfg, name, data), requires_grad=True)
     return ModelParams(cfg, tensors)
 
 
@@ -320,20 +354,16 @@ def front_conv(x: Tensor, params: ModelParams, cfg: ModelConfig) -> Tensor:
 
 def _cell_votes(stacked: Tensor, kernels: Tensor, parents: int, dim: int) -> Tensor:
     """A capsule cell's votes: the vote convolution of the ([B,] rows, W, 1)
-    map ``stacked`` with the (parents*dim, g, gw) ``kernels``, as
+    map ``stacked`` with the (dim*parents, g, gw) ``kernels``, as
     ([B,] rows, parents, blocks, dim) with one block per width-gw column block.
 
-    The kernels' output channels are passed reordered from (parent, dim) to
-    (dim, parent), so the parameter itself keeps its layout.  The
-    block-leading conv2d output then holds each block's votes as (dim,
-    parent, [B,] rows), which is the flat routing form's (block, dim, rows)
-    layout, so the votes returned here are a permuted view that routing
-    reads without a copy.
+    The kernels order their output channels (dim, parent), so the
+    block-leading conv2d output holds each block's votes as (dim, parent,
+    [B,] rows), which is the flat routing form's (block, dim, rows) layout:
+    the votes returned here are a permuted view that routing reads without a
+    copy.
     """
-    cout, g, width = kernels.shape
-    dim_major = T.reshape(T.permute(T.reshape(kernels, (parents, dim, g, width)), (1, 0, 2, 3)),
-                          (cout, g, width))
-    votes = conv2d(stacked, dim_major)  # ([B,] rows, blocks, dim*parents)
+    votes = conv2d(stacked, kernels)  # ([B,] rows, blocks, dim*parents)
     votes = T.reshape(votes, votes.shape[:-1] + (dim, parents))
     k = votes.data.ndim - 4  # the rows axis
     return T.permute(votes, tuple(range(k)) + (k, k + 3, k + 1, k + 2))
@@ -383,17 +413,12 @@ def concat_weighted(omega_a: Tensor, omega_b: Tensor, alpha: Tensor, beta: Tenso
 def classification_forward(omega_cc: Tensor, params: ModelParams, cfg: ModelConfig) -> Tensor:
     """Per-capsule learned transforms produce one vote per class; votes are
     routed over all N capsules to yield one capsule per class."""
-    w = params["class_weights"]  # (N, num_classes, a_s, a_sig)
-    n_caps, classes, a_s, a_sig = w.shape
-    lead = omega_cc.shape[:-2]
-    if omega_cc.data.ndim not in (2, 3) or omega_cc.shape[-2:] != (n_caps, a_s):
-        raise ShapeError(f"expected capsules {(n_caps, a_s)}, got {omega_cc.shape}")
-    rows = lead[0] if lead else 1
-    # each capsule's rows (N, 1, B, a_s) times its class transforms (N, classes, a_s, a_sig)
-    u = T.permute(T.reshape(omega_cc, (rows, n_caps, 1, a_s)), (1, 2, 0, 3))
-    votes = T.permute(T.matmul(u, w), (2, 1, 0, 3))  # (B, classes, N, a_sig): one outer row per example
+    w = params["class_weights"]  # (N, a_s, num_classes, a_sig)
+    # (B, classes, N, a_sig) votes, one outer row per example, stored
+    # example-major as (B, N, classes, a_sig); class_votes checks the shapes
+    votes = class_votes(omega_cc, w)
     routed = dynamic_routing(votes, cfg.routing_iters)  # (B, classes, a_sig)
-    return T.reshape(routed, lead + (classes, a_sig))
+    return T.reshape(routed, omega_cc.shape[:-2] + w.shape[2:])
 
 
 def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

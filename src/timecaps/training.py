@@ -1,9 +1,20 @@
 """Optimization loop, combined loss, evaluation, and checkpoint I/O.
 
-Checkpoint format (version 1): one JSON header line (format tag, version,
-config, and a tensor manifest of name/shape/offset, offsets measured from the
-start of the binary payload) followed by each tensor's raw little-endian
-float64 data in manifest order, back to back, with nothing after the last.
+Checkpoint format (version 2): one JSON header line (format tag, version,
+config, the input normalization the model was trained on, and a tensor
+manifest of name/shape/offset, offsets measured from the start of the binary
+payload) followed by each tensor's raw little-endian float64 data in
+manifest order, back to back, with nothing after the last.  Tensors are
+stored in the layouts ``model.param_shapes`` gives: the vote kernels order
+their output channels (dim, parent), and ``class_weights`` is (N, a_s,
+num_classes, a_sig).  ``normalize`` is ``zscore``, ``minmax``, ``none`` or
+null (not recorded).
+
+Version 1 files, which have no ``normalize`` field, still load: their vote
+kernel channels are in (parent, dim) order and their ``class_weights`` is
+(N, num_classes, a_s, a_sig), and both are converted on load
+(``model.from_v1_layout``).  A v1 file read with the v2 layouts would load
+silently wrong, because the vote kernel shapes are the same in both orders.
 """
 
 from __future__ import annotations
@@ -19,12 +30,14 @@ from . import tensor as T
 from .capsules import LossParams, margin_loss, mse_loss
 from .data import Dataset
 from .errors import CheckpointError, ConfigError, TrainingError
-from .model import ForwardOutput, ModelConfig, ModelParams, classify, model_forward, param_shapes
+from .model import (ForwardOutput, ModelConfig, ModelParams, classify, from_v1_layout, model_forward,
+                    param_shapes, v1_param_shapes)
 from .optim import AdamState, adam_step
 from .tensor import Tensor, no_grad
 
 _CHECKPOINT_MAGIC = "timecaps-checkpoint"
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
+NORMALIZE_MODES = ("zscore", "minmax", "none")
 # Rows per no-grad forward in evaluate().
 EVAL_CHUNK = 16
 
@@ -214,8 +227,12 @@ def train(params: ModelParams, train_set: Dataset, test_set: Dataset, cfg: Train
     return params, report
 
 
-def save_checkpoint(params: ModelParams, path):
-    """Write the JSON header line followed by raw float64 tensor payloads."""
+def save_checkpoint(params: ModelParams, path, normalize: str | None = None):
+    """Write the JSON header line followed by raw float64 tensor payloads;
+    ``normalize`` records the input normalization the model was trained on
+    (None: not recorded)."""
+    if normalize is not None and normalize not in NORMALIZE_MODES:
+        raise ValueError(f"normalize must be one of {NORMALIZE_MODES} or None, got {normalize!r}")
     manifest = []
     offset = 0
     blobs = []
@@ -228,6 +245,7 @@ def save_checkpoint(params: ModelParams, path):
         "format": _CHECKPOINT_MAGIC,
         "version": _CHECKPOINT_VERSION,
         "config": params.config.to_dict(),
+        "normalize": normalize,
         "tensors": manifest,
     }
     with open(path, "wb") as fh:
@@ -237,8 +255,23 @@ def save_checkpoint(params: ModelParams, path):
             fh.write(blob)
 
 
+@dataclass
+class Checkpoint:
+    """A loaded checkpoint: the parameters and the recorded input
+    normalization (None when not recorded, as in every version 1 file)."""
+
+    params: ModelParams
+    normalize: str | None
+
+
 def load_checkpoint(path) -> ModelParams:
-    """Reconstruct params and config; any inconsistency raises CheckpointError
+    """The parameters of a checkpoint (see ``read_checkpoint``)."""
+    return read_checkpoint(path).params
+
+
+def read_checkpoint(path) -> Checkpoint:
+    """Reconstruct params, config and the recorded normalization from a
+    version 2 or version 1 file; any inconsistency raises CheckpointError
     before anything is returned (no partial loads)."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -250,16 +283,20 @@ def load_checkpoint(path) -> ModelParams:
     fmt = header.get("format") if isinstance(header, dict) else None
     if fmt != _CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (format={fmt!r})")
-    if header.get("version") != _CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('version')!r}, "
-                              f"expected {_CHECKPOINT_VERSION}")
+    version = header.get("version")
+    if type(version) is not int or version not in (1, _CHECKPOINT_VERSION):
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}, "
+                              f"expected 1 or {_CHECKPOINT_VERSION}")
     try:
         config = ModelConfig.from_dict(header["config"])
         manifest = header["tensors"]
+        normalize = header["normalize"] if version == _CHECKPOINT_VERSION else None
     except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: bad header ({exc})") from None
+    if normalize is not None and normalize not in NORMALIZE_MODES:
+        raise CheckpointError(f"{path}: unknown normalize mode {normalize!r}")
 
-    expected = param_shapes(config)
+    expected = param_shapes(config) if version == _CHECKPOINT_VERSION else v1_param_shapes(config)
     if not (isinstance(manifest, list) and all(isinstance(m, dict) for m in manifest)
             and [m.get("name") for m in manifest] == list(expected)):
         raise CheckpointError(f"{path}: tensor manifest does not match the config's parameter set")
@@ -285,7 +322,10 @@ def load_checkpoint(path) -> ModelParams:
         data = np.frombuffer(payload[start:stop], dtype="<f8").reshape(shape)
         if not np.isfinite(data).all():
             raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
-        tensors[name] = Tensor(data.copy(), requires_grad=True)
+        data = data.copy()
+        if version == 1:
+            data = from_v1_layout(config, name, data)
+        tensors[name] = Tensor(data, requires_grad=True)
     if stop != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - stop} trailing payload bytes after the last tensor")
-    return ModelParams(config, tensors)
+    return Checkpoint(ModelParams(config, tensors), normalize)

@@ -11,7 +11,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from timecaps import model
+from timecaps import capsules, model
 from timecaps import tensor as T
 from timecaps.capsules import (
     _NORM_EPS,
@@ -19,6 +19,7 @@ from timecaps.capsules import (
     _flat_form,
     _route,
     capsule_length,
+    class_votes,
     dynamic_routing,
     dynamic_routing_trace,
     margin_loss,
@@ -27,7 +28,7 @@ from timecaps.capsules import (
     squash,
 )
 from timecaps.errors import ShapeError
-from timecaps.model import ModelConfig, _cell_votes
+from timecaps.model import ModelConfig, _cell_votes, init_params
 from timecaps.tensor import Tensor
 
 # The 13-class, 360-sample beat config (acceptance criterion 9).
@@ -42,9 +43,15 @@ def site_votes(cfg, site, batch, rng, layout="model"):
     the real vote convolution and the cells' reshape and permute, a view of
     the block-leading (block, dim, parent, rows) conv2d storage; with
     ``layout="rows"`` a permuted view of (..., rows, block, parent, dim)
-    storage instead.  At the class stage a view of (N, classes, B, a_sig)
-    storage."""
+    storage instead.  At the class stage they come from ``class_votes``, a
+    view of example-major (B, N, classes, a_sig) storage; with
+    ``layout="class_major"`` a view of (N, classes, B, a_sig) storage
+    instead."""
     if site == "class":
+        if layout == "model":
+            caps = Tensor(rng.standard_normal((batch, cfg.num_caps, cfg.a_sa)))
+            weights = rng.standard_normal((cfg.num_caps, cfg.a_sa, cfg.num_classes, cfg.a_sig))
+            return class_votes(caps, Tensor(weights / np.sqrt(cfg.a_sa))).data
         stored = rng.standard_normal((cfg.num_caps, cfg.num_classes, batch, cfg.a_sig))
         return stored.transpose(2, 1, 0, 3)
     lead = (batch,) if batch > 1 else ()
@@ -234,6 +241,37 @@ class TestRouting:
         assert np.array_equal(state.logits[0], np.zeros((1, 2, 3)))
 
 
+class TestClassVotes:
+    def test_matches_einsum_with_both_adjoints(self, rng):
+        u = rng.standard_normal((4, 6, 3))
+        w = rng.standard_normal((6, 3, 5, 2))
+        ut, wt = Tensor(u, requires_grad=True), Tensor(w, requires_grad=True)
+        votes = class_votes(ut, wt)
+        assert np.allclose(votes.data, np.einsum("zna,nacb->zcnb", u, w), rtol=1e-13, atol=1e-13)
+        g = rng.standard_normal(votes.shape)
+        T.sum_over(T.mul(votes, Tensor(g))).backward()
+        assert np.allclose(ut.grad, np.einsum("zcnb,nacb->zna", g, w), rtol=1e-13, atol=1e-13)
+        assert np.allclose(wt.grad, np.einsum("zna,zcnb->nacb", u, g), rtol=1e-13, atol=1e-13)
+
+    def test_votes_are_stored_example_major(self, rng):
+        votes = class_votes(Tensor(rng.standard_normal((4, 6, 3))),
+                            Tensor(rng.standard_normal((6, 3, 5, 2)))).data
+        assert votes.shape == (4, 5, 6, 2)
+        assert votes.transpose(0, 2, 1, 3).flags.c_contiguous
+
+    def test_unbatched_is_one_row(self, rng):
+        u, w = rng.standard_normal((6, 3)), Tensor(rng.standard_normal((6, 3, 5, 2)))
+        one = class_votes(Tensor(u), w).data
+        assert one.shape == (1, 5, 6, 2)
+        assert np.array_equal(one, class_votes(Tensor(u[None]), w).data)
+
+    @pytest.mark.parametrize("us,ws", [((6, 4), (6, 3, 5, 2)), ((7, 3), (6, 3, 5, 2)),
+                                       ((2, 2, 6, 3), (6, 3, 5, 2)), ((6, 3), (6, 3, 10))])
+    def test_rejects_mismatched_shapes(self, us, ws):
+        with pytest.raises(ShapeError):
+            class_votes(Tensor(np.ones(us)), Tensor(np.ones(ws)))
+
+
 class TestRoutingAtModelSites:
     """Both routing forms at the shapes and memory layouts of the six model
     sites (cell A, cell B and the class stage of the toy and beat configs),
@@ -242,10 +280,11 @@ class TestRoutingAtModelSites:
     SITES = [(name, cfg, site, batch, "model")
              for name, cfg in (("toy", ModelConfig.toy()), ("beat", BEAT_CFG))
              for site in ("cell_a", "cell_b", "class") for batch in (1, 16)]
-    # the cells' votes in a layout the flat form has to copy
-    SITES += [(name, cfg, site, 16, "rows") for name, cfg, site, batch, _ in SITES
-              if site != "class" and batch == 16]
-    IDS = [f"{name}-{site}-b{batch}" + ("-rows" if layout == "rows" else "")
+    # the cells' votes in a layout the flat form has to copy, and the class
+    # votes stored (N, classes, B, a_sig), class-major
+    SITES += [(name, cfg, site, 16, "class_major" if site == "class" else "rows")
+              for name, cfg, site, batch, _ in SITES if batch == 16]
+    IDS = [f"{name}-{site}-b{batch}" + ("" if layout == "model" else f"-{layout}")
            for name, _, site, batch, layout in SITES]
 
     @pytest.mark.parametrize("name,cfg,site,batch,layout", SITES, ids=IDS)
@@ -293,6 +332,32 @@ class TestRoutingAtModelSites:
         weighted_routing(leaf, rng.standard_normal(votes.shape[:-2] + votes.shape[-1:])).backward()
         # (a stride along a unit axis is arbitrary)
         assert all(g == v for g, v, n in zip(leaf.grad.strides, votes.strides, votes.shape) if n > 1)
+
+    @pytest.mark.parametrize("name,cfg", [("toy", ModelConfig.toy()), ("beat", BEAT_CFG)])
+    def test_class_stage_routes_and_returns_its_votes_without_a_copy(self, rng, monkeypatch,
+                                                                      name, cfg):
+        # routing reads the votes class_votes made, and class_votes' backward
+        # reads the vote gradient routing wrote, each through a view
+        made, routed, written, read = [], [], [], []
+
+        def spy(fn, calls):
+            return lambda *a: calls.append(fn(*a)) or calls[-1]
+
+        monkeypatch.setattr(model, "class_votes", spy(model.class_votes, made))
+        monkeypatch.setattr(capsules, "_route", spy(capsules._route, routed))
+        monkeypatch.setattr(capsules, "_route_backward", spy(capsules._route_backward, written))
+        real_view = capsules._capsule_major
+        monkeypatch.setattr(capsules, "_capsule_major", lambda a: read.append((a, real_view(a))) or read[-1][1])
+        params = init_params(cfg, seed=0)
+        omega = Tensor(rng.standard_normal((16, cfg.num_caps, cfg.a_sa)), requires_grad=True)
+        out = model.classification_forward(omega, params, cfg)
+        T.sum_over(T.mul(out, Tensor(rng.standard_normal(out.shape)))).backward()
+        rec = routed[0][1]
+        assert not rec.flat
+        assert np.shares_memory(rec.votes, made[0].data)
+        (gout, g), = read[1:]  # read[0] is the forward's output view
+        assert np.shares_memory(gout, written[0]) and np.shares_memory(g, written[0])
+        assert omega.grad is not None and params["class_weights"].grad is not None
 
     def test_backward_memory_is_chunked(self, rng):
         # traced peak of one routing forward and backward at the beat cell-A

@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from timecaps import cli
 from timecaps.cli import main
+from timecaps.training import load_checkpoint
+from test_training import write_v1_checkpoint
 
 
 def smoke_config(tmp_path, data_path, out_dir, epochs=1):
@@ -320,6 +323,61 @@ class TestReconstructCommand:
         assert np.mean(recon_mse) < np.mean(noise_mse)
 
 
+class TestRecordedNormalization:
+    """``train`` records its normalization in the checkpoint; ``eval`` and
+    ``reconstruct`` apply it by default and refuse a conflicting flag."""
+
+    @pytest.fixture
+    def minmax_run(self, tmp_path, synth_csv):
+        out_dir = tmp_path / "run"
+        path = smoke_config(tmp_path, synth_csv, out_dir)
+        cfg = json.loads(path.read_text())
+        cfg["normalize"] = "minmax"
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path)]) == 0
+        return out_dir
+
+    @staticmethod
+    def spy_modes(monkeypatch):
+        modes = []
+        real = cli.normalize
+        monkeypatch.setattr(cli, "normalize", lambda ds, mode: modes.append(mode) or real(ds, mode))
+        return modes
+
+    @staticmethod
+    def run(command, ckpt, data, out, *flags):
+        return main([command, "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out),
+                     *flags])
+
+    @pytest.mark.parametrize("command", ["eval", "reconstruct"])
+    @pytest.mark.parametrize("flags", [(), ("--normalize", "minmax")], ids=["default", "same"])
+    def test_recorded_mode_is_applied(self, tmp_path, minmax_run, monkeypatch, command, flags):
+        # negative control: both commands applied zscore to a minmax model
+        modes = self.spy_modes(monkeypatch)
+        assert self.run(command, minmax_run / "model.ckpt", minmax_run / "test_split.csv",
+                        tmp_path / "o", *flags) == 0
+        assert modes == ["minmax"]
+
+    @pytest.mark.parametrize("command", ["eval", "reconstruct"])
+    def test_conflicting_flag_exits_2_naming_both_modes(self, tmp_path, minmax_run, capsys,
+                                                        command):
+        capsys.readouterr()
+        assert self.run(command, minmax_run / "model.ckpt", minmax_run / "test_split.csv",
+                        tmp_path / "o", "--normalize", "zscore") == 2
+        err = capsys.readouterr().err
+        assert "--normalize zscore" in err and "minmax" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_v1_checkpoint_keeps_the_zscore_default(self, tmp_path, minmax_run, monkeypatch):
+        v1 = tmp_path / "v1.ckpt"
+        write_v1_checkpoint(load_checkpoint(minmax_run / "model.ckpt"), v1)
+        modes = self.spy_modes(monkeypatch)
+        data = minmax_run / "test_split.csv"
+        assert self.run("eval", v1, data, tmp_path / "o") == 0
+        assert self.run("eval", v1, data, tmp_path / "o", "--normalize", "none") == 0
+        assert modes == ["zscore"]  # "none" skips normalize()
+
+
 class TestGradcheckCommand:
     def test_passes_on_tiny_config(self, capsys):
         assert main(["gradcheck"]) == 0
@@ -327,7 +385,7 @@ class TestGradcheckCommand:
         lines = [ln for ln in out.splitlines() if "max_rel_error" in ln]
         assert len(lines) >= 6
         for comp in ("conv1d", "conv2d", "deconv1d", "squash", "routing", "matmul_batch2", "full_model",
-                     "routing_many_blocks"):
+                     "routing_many_blocks", "class_votes"):
             assert any(comp in ln for ln in lines)
 
     def test_fault_injection_negative_control(self, capsys):

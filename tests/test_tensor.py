@@ -129,15 +129,16 @@ def sum_to(x, shape):
 
 
 def class_votes(u: Tensor, w: Tensor) -> Tensor:
-    """The class stage's votes: (B, N, a) capsules through (N, C, a, b)
-    transforms, as a (B, C, N, b) view of one broadcast matmul."""
+    """Class-vote-shaped products through ``matmul`` alone: (B, N, a) rows
+    through (N, C, a, b) transforms, as a (B, C, N, b) view of one matmul
+    broadcast along a unit axis (the model uses ``capsules.class_votes``)."""
     rows, n_caps, a = u.shape
     lhs = T.permute(T.reshape(u, (rows, n_caps, 1, a)), (1, 2, 0, 3))
     return T.permute(T.matmul(lhs, w), (2, 1, 0, 3))
 
 
 # (a shape, b shape): plain, batched, and broadcast along missing or unit
-# batch axes of either operand (the class votes are the (5, 1, 3, 4) case)
+# batch axes of either operand
 MATMUL_SHAPES = [
     ((3, 4), (4, 5)),
     ((1, 4), (4, 2)),

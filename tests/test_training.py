@@ -1,6 +1,7 @@
 """Loss composition, evaluation, the training loop contract, and
 checkpoint round trips."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,18 +9,42 @@ import pytest
 
 from timecaps.data import Dataset, LabeledSignal
 from timecaps.errors import CheckpointError, ConfigError, TrainingError
-from timecaps.model import init_params, model_forward
+from timecaps.model import classify, init_params, model_forward
 from timecaps.optim import AdamState, adam_step
-from timecaps.tensor import Tensor
+from timecaps.tensor import Tensor, no_grad
 from timecaps.training import (
     EVAL_CHUNK,
     TrainConfig,
     evaluate,
     load_checkpoint,
+    read_checkpoint,
     save_checkpoint,
     total_loss,
     train,
 )
+
+
+def write_v1_checkpoint(params, path):
+    """Write ``params`` as a version 1 file: no normalize field, vote kernel
+    output channels in (parent, dim) order and class weights as (N,
+    num_classes, a_s, a_sig)."""
+    cfg = params.config
+    split = {"cell_a_votes": (cfg.c_sa, cfg.a_sa), "cell_b_votes": (cfg.c_sb, cfg.a_sb)}
+    manifest, blobs, offset = [], [], 0
+    for name, p in params.items():
+        data = p.data
+        if name == "class_weights":
+            data = data.transpose(0, 2, 1, 3)
+        elif name in split:
+            parents, dim = split[name]
+            cout, g, width = data.shape
+            data = data.reshape(dim, parents, g, width).transpose(1, 0, 2, 3).reshape(cout, g, width)
+        blobs.append(np.ascontiguousarray(data, dtype="<f8").tobytes())
+        manifest.append({"name": name, "shape": list(data.shape), "offset": offset})
+        offset += len(blobs[-1])
+    header = {"format": "timecaps-checkpoint", "version": 1, "config": cfg.to_dict(),
+              "tensors": manifest}
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + b"".join(blobs))
 
 
 def small_dataset(rng, cfg, per_class=6):
@@ -246,6 +271,51 @@ class TestCheckpoint:
         save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_recorded_normalize_round_trips(self, tiny_cfg, tmp_path):
+        p1, p2 = tmp_path / "m.ckpt", tmp_path / "m2.ckpt"
+        save_checkpoint(init_params(tiny_cfg, seed=0), p1, normalize="minmax")
+        ckpt = read_checkpoint(p1)
+        assert ckpt.normalize == "minmax"
+        save_checkpoint(ckpt.params, p2, normalize=ckpt.normalize)
+        assert p1.read_bytes() == p2.read_bytes()
+        save_checkpoint(ckpt.params, p2)
+        assert read_checkpoint(p2).normalize is None
+
+    def test_v1_file_loads_in_the_current_layouts(self, tiny_cfg, tmp_path, rng):
+        # a_sa == num_classes, so the v1 class weights' shape is also a valid
+        # v2 shape, and two parents per cell, so the two vote kernel channel
+        # orders differ: read without the conversion, this file would load
+        # without an error and give other class lengths
+        cfg = dataclasses.replace(tiny_cfg, num_classes=tiny_cfg.a_sa, c_sa=2, c_sb=2)
+        params = init_params(cfg, seed=4)
+        p = tmp_path / "v1.ckpt"
+        write_v1_checkpoint(params, p)
+        ckpt = read_checkpoint(p)
+        assert ckpt.normalize is None
+        for k in params.names():
+            assert np.array_equal(ckpt.params[k].data, params[k].data), k
+        x = Tensor(rng.standard_normal((5, cfg.L)))
+        with no_grad():
+            want = classify(x, params, cfg).class_lengths.data
+            got = classify(x, ckpt.params, cfg).class_lengths.data
+        assert np.array_equal(got, want)
+
+    def test_v1_file_in_the_v2_layout_is_rejected(self, tiny_cfg, tmp_path):
+        # a v1 header over v2-shaped class weights (a_sa != num_classes)
+        p = self.saved(tiny_cfg, tmp_path)
+        self.rewrite(p, lambda h: (h.update(version=1), h.pop("normalize")))
+        with pytest.raises(CheckpointError, match="class_weights"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("edit", [lambda h: h.pop("normalize"),
+                                      lambda h: h.update(normalize="robust")],
+                             ids=["missing", "unknown"])
+    def test_bad_normalize_field(self, tiny_cfg, tmp_path, edit):
+        p = self.saved(tiny_cfg, tmp_path)
+        self.rewrite(p, edit)
+        with pytest.raises(CheckpointError, match="normalize"):
+            load_checkpoint(p)
+
     def test_truncated_payload(self, tiny_cfg, tmp_path):
         params = init_params(tiny_cfg, seed=0)
         p = tmp_path / "m.ckpt"
@@ -279,8 +349,8 @@ class TestCheckpoint:
 
     def test_unknown_version(self, tiny_cfg, tmp_path):
         p = self.saved(tiny_cfg, tmp_path)
-        self.rewrite(p, lambda h: h.update(version=2))
-        with pytest.raises(CheckpointError, match="version 2"):
+        self.rewrite(p, lambda h: h.update(version=3))
+        with pytest.raises(CheckpointError, match="version 3"):
             load_checkpoint(p)
 
     def test_trailing_payload_bytes(self, tiny_cfg, tmp_path):
