@@ -1,7 +1,16 @@
 """Dataset loading, normalization, splitting, and the synthetic waveform task.
 
 CSV format: UTF-8, one example per line, ``label,s0,s1,...,s(L-1)``, no
-header, '.' decimal separator, LF line endings.
+header, '.' decimal separator, LF line endings.  A leading UTF-8 byte-order
+mark, as spreadsheets write, is skipped.  ``save_csv`` writes each sample as
+``f"{v:.17g}"`` does (``-0``, ``0.10000000000000001``,
+``1.7976931348623157e+308``), which reads back to the same bits.
+``load_csv`` parses samples with ``float()`` and names the file, the row
+(1-based, blank lines counted) and, for a sample, the column of the first bad
+field; given ``num_classes`` it rejects a label outside
+``0..num_classes-1`` the same way (``<path>: row 4 has label 7, expected
+0..2``).  The command line runs as ``timecaps`` or, uninstalled, as
+``PYTHONPATH=src python -m timecaps``.
 """
 
 from __future__ import annotations
@@ -51,11 +60,12 @@ def load_csv(path, expected_L: int | None = None, num_classes: int | None = None
     """Parse a label-plus-samples CSV; the signal length comes from row 1.
 
     Non-numeric and non-finite (nan, inf) samples are rejected, naming the
-    row and the 1-based column.
+    row and the 1-based column; with ``num_classes`` given, so is a label
+    outside ``0..num_classes-1``.  A leading UTF-8 byte-order mark is skipped.
     """
     signals: list[LabeledSignal] = []
     length = expected_L
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for row_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -69,8 +79,10 @@ def load_csv(path, expected_L: int | None = None, num_classes: int | None = None
                 raise DataFormatError(f"{path}: row {row_no} has non-integer label {fields[0]!r}") from None
             if label < 0:
                 raise DataFormatError(f"{path}: row {row_no} has negative label {label}")
+            if num_classes is not None and label >= num_classes:
+                raise DataFormatError(f"{path}: row {row_no} has label {label}, expected 0..{num_classes - 1}")
             try:
-                samples = np.array([float(v) for v in fields[1:]], dtype=np.float64)
+                samples = np.fromiter(map(float, fields[1:]), np.float64, len(fields) - 1)
             except ValueError:
                 raise DataFormatError(f"{path}: row {row_no} has a non-numeric sample") from None
             finite = np.isfinite(samples)
@@ -91,37 +103,37 @@ def load_csv(path, expected_L: int | None = None, num_classes: int | None = None
 
 
 def save_csv(dataset: Dataset, path):
-    """Inverse of load_csv; 17 significant digits keeps float64 round trips exact."""
+    """Inverse of load_csv; 17 significant digits keeps float64 round trips
+    exact.  Each sample is written as ``f"{v:.17g}"`` would write it, one
+    formatted line per row."""
+    line = "%d" + ",%.17g" * dataset.L + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for sig in dataset.signals:
-            fh.write(str(sig.label))
-            for v in sig.samples:
-                fh.write(f",{v:.17g}")
-            fh.write("\n")
+            fh.write(line % (sig.label, *sig.samples.tolist()))
 
 
 def normalize(dataset: Dataset, mode: str = "zscore") -> tuple[Dataset, list[tuple[float, float]]]:
     """Per-signal normalization; returns the new dataset and per-signal stats.
 
     zscore stats are (mean, std); minmax stats are (min, max).  Degenerate
-    signals (zero spread) are mapped to all zeros.
+    signals (zero spread) are mapped to all zeros.  The signals are taken as
+    the rows of one (N, L) array; numpy reduces each contiguous row as it
+    would the signal alone, so every value equals the per-signal result.
     """
     if mode not in ("zscore", "minmax"):
         raise ValueError(f"mode must be 'zscore' or 'minmax', got {mode!r}")
-    out: list[LabeledSignal] = []
-    stats: list[tuple[float, float]] = []
-    for sig in dataset.signals:
-        x = sig.samples
-        if mode == "zscore":
-            mu = float(x.mean())
-            sd = float(x.std())
-            stats.append((mu, sd))
-            y = np.zeros_like(x) if sd < 1e-12 else (x - mu) / sd
-        else:
-            lo, hi = float(x.min()), float(x.max())
-            stats.append((lo, hi))
-            y = np.zeros_like(x) if hi - lo < 1e-12 else 2.0 * (x - lo) / (hi - lo) - 1.0
-        out.append(LabeledSignal(samples=y, label=sig.label))
+    x = np.array([sig.samples for sig in dataset.signals], dtype=np.float64).reshape(len(dataset), dataset.L)
+    if mode == "zscore":
+        first, second = x.mean(axis=1), x.std(axis=1)
+        flat = second < 1e-12
+        y = (x - first[:, None]) / np.where(flat, 1.0, second)[:, None]
+    else:
+        first, second = x.min(axis=1), x.max(axis=1)
+        flat = second - first < 1e-12
+        y = 2.0 * (x - first[:, None]) / np.where(flat, 1.0, second - first)[:, None] - 1.0
+    y[flat] = 0.0
+    out = [LabeledSignal(samples=row, label=sig.label) for row, sig in zip(y, dataset.signals)]
+    stats = list(zip(first.tolist(), second.tolist()))
     return Dataset(out, dataset.L, dataset.num_classes, dataset.class_names), stats
 
 

@@ -295,51 +295,22 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return make_op(data, tuple(tensors), backward)
 
 
-# Floats of unsummed matmul product per chunk when an adjoint sums over
-# broadcast batch axes.
-_SUM_CHUNK = 1 << 16
-
-
-def _matmul_sum(x: np.ndarray, y: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """``np.matmul(x, y)`` summed down to ``shape`` over the batch axes that
-    broadcasting added or widened.  Unless the leading axis is summed, this
-    runs one chunk of the leading axis at a time, so the unsummed product
-    stays near _SUM_CHUNK floats instead of growing with the summed extents."""
-    full = np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (x.shape[-2], y.shape[-1])
-    axes = _broadcast_axes(full, shape)
-    if not axes:
-        return np.matmul(x, y)
-    if axes[0] == 0:
-        return np.matmul(x, y).sum(axis=axes).reshape(shape)
-    out = np.empty(tuple(n for i, n in enumerate(full) if i not in axes))
-    rows = max(1, _SUM_CHUNK * full[0] // max(1, math.prod(full)))
-    for lo in range(0, full[0], rows):
-        sl = slice(lo, lo + rows)
-        # an operand broadcast along the leading axis enters every chunk whole
-        part = np.matmul(*(z[sl] if z.ndim == len(full) and z.shape[0] > 1 else z for z in (x, y)))
-        part.sum(axis=axes, out=out[sl])
-    return out.reshape(shape)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched ``a @ b`` on operands of at least two dimensions; the batch
-    axes (all but the last two) broadcast with numpy rules.
+    """The 2-D product ``a @ b`` of an (m, k) and a (k, n) operand.
 
-    The adjoints are ``g @ bT`` and ``aT @ g`` on transposed views, summed
-    over the batch axes an operand was broadcast along (see ``_matmul_sum``).
+    The adjoints are ``g @ bT`` and ``aT @ g`` on transposed views.
     """
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul needs operands of at least 2 dimensions, got {a.shape} @ {b.shape}")
-    try:
-        data = np.matmul(a.data, b.data)
-    except ValueError:
-        raise ShapeError(f"matmul operands do not match: {a.shape} @ {b.shape}") from None
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul operands do not match: {a.shape} @ {b.shape}")
+    data = a.data @ b.data
 
     def backward(gout):
         g = np.asarray(gout)
         if a.requires_grad:
-            _accumulate(a, _matmul_sum(g, np.swapaxes(b.data, -1, -2), a.shape), owned=True)
+            _accumulate(a, g @ b.data.T, owned=True)
         if b.requires_grad:
-            _accumulate(b, _matmul_sum(np.swapaxes(a.data, -1, -2), g, b.shape), owned=True)
+            _accumulate(b, a.data.T @ g, owned=True)
 
     return make_op(data, (a, b), backward)

@@ -1,10 +1,15 @@
 """End-to-end command-line behavior: exit codes, file artifacts, overrides."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import timecaps
 from timecaps import cli
 from timecaps.cli import main
 from timecaps.training import load_checkpoint
@@ -65,6 +70,17 @@ class TestSynthCommand:
         assert main(["synth", "--out", str(out), "--seed", "-1", "--num-per-class", "2"]) == 2
         assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        # negative control: `python -m timecaps` found no timecaps.__main__
+        src = str(Path(timecaps.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "x.csv"
+        proc = subprocess.run([sys.executable, "-m", "timecaps", "synth", "--out", str(out),
+                               "--num-per-class", "2", "--length", "16"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert len(out.read_text().splitlines()) == 6
 
 
 class TestTrainCommand:
@@ -384,7 +400,7 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         lines = [ln for ln in out.splitlines() if "max_rel_error" in ln]
         assert len(lines) >= 6
-        for comp in ("conv1d", "conv2d", "deconv1d", "squash", "routing", "matmul_batch2", "full_model",
+        for comp in ("conv1d", "conv2d", "deconv1d", "squash", "routing", "matmul", "full_model",
                      "routing_many_blocks", "class_votes"):
             assert any(comp in ln for ln in lines)
 
@@ -427,6 +443,17 @@ class TestExitCodes:
         empty.write_text("")
         assert main(["eval", "--checkpoint", str(out_dir / "model.ckpt"),
                      "--data", str(empty)]) == 2
+
+    def test_out_of_range_label_names_file_and_row(self, tmp_path, synth_csv, capsys):
+        out_dir = tmp_path / "run"
+        main(["train", "--config", str(smoke_config(tmp_path, synth_csv, out_dir))])
+        data = tmp_path / "labels.csv"
+        row = ",".join(["0.5"] * 32)
+        data.write_text(f"0,{row}\n\n7,{row}\n")
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out_dir / "model.ckpt"), "--data", str(data),
+                     "--out", str(tmp_path / "e")]) == 2
+        assert f"error: {data}: row 3 has label 7, expected 0..2" in capsys.readouterr().err
 
     def test_synth_unwritable_path(self, tmp_path):
         # a path through a regular file cannot be created, even by root

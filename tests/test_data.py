@@ -83,6 +83,88 @@ class TestLoadCsv:
             assert a.label == b.label
             assert np.array_equal(a.samples, b.samples)
 
+    def test_out_of_range_label_names_file_and_row(self, tmp_path):
+        # negative control: this used to surface as Dataset's "signal 2 label
+        # 7 out of range [0, 3)", a 0-based index over non-blank rows
+        p = tmp_path / "d.csv"
+        p.write_text("0,1,2\n1,3,4\n\n7,5,6\n")
+        with pytest.raises(DataFormatError) as err:
+            load_csv(p, num_classes=3)
+        assert str(err.value) == f"{p}: row 4 has label 7, expected 0..2"
+        assert load_csv(p).num_classes == 8  # without num_classes the labels set it
+        p.write_text("0,1,2\n3,4,5\n")  # the first label past the range
+        with pytest.raises(DataFormatError, match="row 2 has label 3, expected 0..2"):
+            load_csv(p, num_classes=3)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # negative control: a spreadsheet's BOM used to fail as label '\ufeff0'
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(b"0,1.5,2.5\n1,3.5,4.5\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = load_csv(plain), load_csv(marked)
+        assert [s.label for s in b.signals] == [0, 1]
+        for x, y in zip(a.signals, b.signals):
+            assert x.samples.tobytes() == y.samples.tobytes()
+
+    @pytest.mark.parametrize("text,kwargs,message", [
+        ("0,1,2,3,4\n1,1,2,3\n", {}, "row 2 has 3 samples, expected 4"),
+        ("0,1.0,abc\n", {}, "row 1 has a non-numeric sample"),
+        ("1,0.5,0.25,3.0\n0,1.0,NaN,2.0\n", {}, "row 2 column 3 has non-finite sample 'NaN'"),
+        ("x,1.0,2.0\n", {}, "row 1 has non-integer label 'x'"),
+        ("0,1.0\n-1,2.0\n", {}, "row 2 has negative label -1"),
+        ("0\n", {}, "row 1 has no samples"),
+        ("0,1,2,3\n", {"expected_L": 5}, "row 1 has 3 samples, expected 5"),
+        ("\n\n", {}, "no data rows"),
+        # rows are checked in file order: a non-finite sample is reported
+        # before a fault later in its row or in a later row
+        ("0,1.0,-inf\n1,2.0\n", {}, "row 1 column 3 has non-finite sample '-inf'"),
+        ("0,1.0,2.0\n1,inf,2.0,3.0\n", {}, "row 2 column 2 has non-finite sample 'inf'"),
+        ("0,1.0,nan\n5,1.0,2.0\n", {"num_classes": 2}, "row 1 column 3 has non-finite sample 'nan'"),
+        ("0,1.0,nan\n1,1.0,zz\n", {}, "row 1 column 3 has non-finite sample 'nan'"),
+        ("0,1.0,2.0\n1,nan,zz\n", {}, "row 2 has a non-numeric sample"),
+    ])
+    def test_malformed_file_messages(self, tmp_path, text, kwargs, message):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(DataFormatError) as err:
+            load_csv(p, **kwargs)
+        assert str(err.value) == f"{p}: {message}"
+
+
+class TestCsvText:
+    """``save_csv`` writes each sample as ``f"{v:.17g}"`` would, and
+    ``load_csv`` reads that text back to the same bits."""
+
+    EDGE = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e16,
+            0.0, 3.0, -7.0, 1e300, -2.5]
+
+    def test_text_is_per_value_17g_and_reads_back_bitwise(self, tmp_path, rng):
+        rows = [np.array(self.EDGE), -np.array(self.EDGE), rng.standard_normal(len(self.EDGE))]
+        ds = Dataset([LabeledSignal(x, i) for i, x in enumerate(rows)], len(self.EDGE), 3)
+        p = tmp_path / "d.csv"
+        save_csv(ds, p)
+        want = "".join(f"{i}" + "".join(f",{v:.17g}" for v in x) + "\n" for i, x in enumerate(rows))
+        assert p.read_bytes() == want.encode()
+        back = load_csv(p)
+        for x, sig in zip(rows, back.signals):
+            assert sig.samples.tobytes() == x.tobytes()
+
+
+def reference_normalize(dataset, mode):
+    """One signal at a time, as normalize's contract states it."""
+    out, stats = [], []
+    for sig in dataset.signals:
+        x = sig.samples
+        if mode == "zscore":
+            first, second = float(x.mean()), float(x.std())
+            y = np.zeros_like(x) if second < 1e-12 else (x - first) / second
+        else:
+            first, second = float(x.min()), float(x.max())
+            y = np.zeros_like(x) if second - first < 1e-12 else 2.0 * (x - first) / (second - first) - 1.0
+        out.append(y)
+        stats.append((first, second))
+    return out, stats
+
 
 class TestNormalize:
     def test_constant_signal_zscore(self):
@@ -102,6 +184,19 @@ class TestNormalize:
         for s in out.signals:
             assert abs(s.samples.mean()) < 1e-12
             assert abs(s.samples.std() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("mode", ["zscore", "minmax"])
+    @pytest.mark.parametrize("length", [1, 7, 9, 129, 360])
+    def test_matches_per_signal_reference_bitwise(self, rng, mode, length):
+        sigs = [LabeledSignal(rng.standard_normal(length) * 10.0 ** float(rng.integers(-6, 6))
+                              + float(rng.integers(-50, 50)), c % 3) for c in range(12)]
+        sigs.append(LabeledSignal(np.full(length, 3.7), 1))  # a constant signal
+        for ds in (Dataset(sigs, length, 3), Dataset(sigs[:1], length, 3)):
+            out, stats = normalize(ds, mode)
+            want, want_stats = reference_normalize(ds, mode)
+            assert stats == want_stats
+            assert [s.samples.tobytes() for s in out.signals] == [y.tobytes() for y in want]
+            assert [s.label for s in out.signals] == [s.label for s in ds.signals]
 
     def test_bad_mode(self):
         ds = Dataset([LabeledSignal(np.zeros(4), 0)], 4, 1)

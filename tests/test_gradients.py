@@ -75,15 +75,6 @@ def test_repeat_concat_softmax_contract(seed):
     rc = rng.standard_normal((6, 3))
     assert grad_check(lambda t: wsum(T.concat([t, other], axis=0), rc), Tensor(a)) < TOL
 
-    # the class votes: (N, 1, B, a) capsule rows broadcast against (N, C, a, b)
-    # transforms, so the capsule adjoint sums over C
-    u = rng.standard_normal((5, 1, 3, 3))
-    w = rng.standard_normal((5, 2, 3, 4))
-    rv = rng.standard_normal((5, 2, 3, 4))
-    wt, ut = Tensor(w), Tensor(u)
-    assert grad_check(lambda t: wsum(T.matmul(t, wt), rv), Tensor(u)) < TOL
-    assert grad_check(lambda t: wsum(T.matmul(ut, t), rv), Tensor(w)) < TOL
-
     # a decoder dense layer
     h = rng.standard_normal((3, 6))
     fc = rng.standard_normal((6, 2))

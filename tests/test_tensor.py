@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from timecaps import tensor as T
-from timecaps.capsules import _couplings, dynamic_routing
+from timecaps.capsules import _couplings
 from timecaps.errors import ShapeError
 from timecaps.tensor import Tensor
 
@@ -118,37 +118,10 @@ def assert_close(got, want):
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want), initial=0.0))
 
 
-def sum_to(x, shape):
-    """Sum a broadcast array back down to ``shape``."""
-    while x.ndim > len(shape):
-        x = x.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1:
-            x = x.sum(axis=axis, keepdims=True)
-    return x
-
-
-def class_votes(u: Tensor, w: Tensor) -> Tensor:
-    """Class-vote-shaped products through ``matmul`` alone: (B, N, a) rows
-    through (N, C, a, b) transforms, as a (B, C, N, b) view of one matmul
-    broadcast along a unit axis (the model uses ``capsules.class_votes``)."""
-    rows, n_caps, a = u.shape
-    lhs = T.permute(T.reshape(u, (rows, n_caps, 1, a)), (1, 2, 0, 3))
-    return T.permute(T.matmul(lhs, w), (2, 1, 0, 3))
-
-
-# (a shape, b shape): plain, batched, and broadcast along missing or unit
-# batch axes of either operand
+# (a shape, b shape): the decoder's (rows, k) @ (k, n) products
 MATMUL_SHAPES = [
     ((3, 4), (4, 5)),
     ((1, 4), (4, 2)),
-    ((2, 3, 4), (2, 4, 5)),
-    ((6, 3, 4), (4, 2)),
-    ((3, 4), (6, 4, 2)),
-    ((5, 1, 3, 4), (5, 6, 4, 2)),
-    ((1, 6, 3, 4), (5, 6, 4, 2)),
-    ((5, 1, 3, 4), (1, 6, 4, 2)),
-    ((2, 1, 3, 3, 4), (3, 1, 4, 2)),
 ]
 
 
@@ -160,21 +133,7 @@ class TestMatmul:
             out = T.matmul(Tensor(a), Tensor(b))
             assert np.array_equal(out.data, np.matmul(a, b))
 
-    def test_class_vote_matches_einsum(self, rng):
-        u = rng.standard_normal((4, 6, 3))
-        w = rng.standard_normal((6, 5, 3, 2))
-        ut, wt = Tensor(u, requires_grad=True), Tensor(w, requires_grad=True)
-        votes = class_votes(ut, wt)
-        assert_close(votes.data, np.einsum("zna,ncab->zcnb", u, w))
-        g = rng.standard_normal(votes.shape)
-        T.sum_over(T.mul(votes, Tensor(g))).backward()
-        assert_close(ut.grad, np.einsum("zcnb,ncab->zna", g, w))
-        assert_close(wt.grad, np.einsum("zna,zcnb->ncab", u, g))
-
-    @pytest.mark.parametrize("sum_chunk", [None, 3])
-    def test_adjoints_match_einsum(self, rng, monkeypatch, sum_chunk):
-        if sum_chunk is not None:  # several chunks whenever a batch axis is summed
-            monkeypatch.setattr(T, "_SUM_CHUNK", sum_chunk)
+    def test_adjoints_match_einsum(self, rng):
         for sa, sb in MATMUL_SHAPES:
             for transposed in (False, True):
                 a, b = strided_operand(rng, sa, transposed), strided_operand(rng, sb, transposed)
@@ -182,29 +141,15 @@ class TestMatmul:
                 out = T.matmul(at, bt)
                 g = strided_operand(rng, out.shape, transposed)
                 T.sum_over(T.mul(out, Tensor(g))).backward()
-                # broadcast a and b to the full batch shape, then sum back down
-                batch = out.shape[:-2]
-                ga = np.einsum("...ik,...jk->...ij", g, np.broadcast_to(b, batch + sb[-2:]))
-                gb = np.einsum("...ki,...kj->...ij", np.broadcast_to(a, batch + sa[-2:]), g)
-                assert_close(at.grad, sum_to(ga, sa))
-                assert_close(bt.grad, sum_to(gb, sb))
-
-    def test_class_votes_keep_the_weight_layout(self, rng):
-        # the votes are a permuted view of an (N, C, B, b) array, routing hands
-        # back their gradient in that layout, and the weight gradient comes
-        # back in the weights' own
-        u = Tensor(rng.standard_normal((4, 6, 3)), requires_grad=True)
-        w = Tensor(rng.standard_normal((6, 5, 3, 2)), requires_grad=True)
-        votes = class_votes(u, w)
-        assert votes.data.transpose(2, 1, 0, 3).flags.c_contiguous
-        T.sum_over(dynamic_routing(votes, 3)).backward()
-        assert w.grad.flags.c_contiguous
+                assert_close(at.grad, np.einsum("ik,jk->ij", g, b))
+                assert_close(bt.grad, np.einsum("ki,kj->ij", a, g))
 
     @pytest.mark.parametrize("sa,sb", [
         ((2, 3), (2, 2)),  # inner extents differ
-        ((4, 2, 3), (3, 3, 2)),  # batch axes do not broadcast
+        ((4, 2, 3), (3, 3, 2)),  # batched operands
         ((3,), (3, 2)),  # a vector operand
         ((2, 3), (3,)),
+        ((2, 3, 4), (4, 5)),  # a 3-D operand whose trailing axes would match
     ])
     def test_rejects_mismatched_operands(self, sa, sb):
         with pytest.raises(ShapeError):
