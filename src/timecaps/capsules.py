@@ -4,7 +4,11 @@ Routing operates on vote tensors laid out as (outer, parent, block, dim):
 ``outer`` indexes positions routed independently, ``parent`` the receiving
 capsules, ``block`` the child capsules being routed, and ``dim`` the capsule
 vector dimension.  Couplings are a softmax over the block axis, so they are
-nonnegative and sum to one per (outer, parent) at every iteration.
+nonnegative and sum to one per (outer, parent) at every iteration: each
+parent normalizes its couplings over its children.  This differs from Sabour
+et al. 2017, eq. 3, where each child's couplings are normalized over its
+parents.  ``routing_oracle`` transcribes the same choice, and acceptance
+criterion 3 (``test_criterion_03_routing_normalization``) checks it.
 
 Squash and routing are fused: each is one tape node with a hand-written
 backward (for routing, the adjoint of the update rules of Sabour et al. 2017,

@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import numbers
 import os
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset, filter_min_class_count, load_csv, normalize, save_csv, split, synth_waveforms
-from .errors import CheckpointError, ConfigError, DataFormatError, ShapeError, TrainingError
+from .errors import (CheckpointError, ConfigError, DataFormatError, ShapeError, TrainingError, check_fields,
+                     config_from)
 from .gradcheck import run_suite
 from .model import ModelConfig, ModelParams, init_params, model_forward
 from .tensor import Tensor, no_grad
@@ -29,16 +29,13 @@ from .training import NORMALIZE_MODES, TrainConfig, evaluate, read_checkpoint, s
 GRAD_TOLERANCE = 1e-4
 
 
-def _convert(raw: dict, key: str, kind: type, default):
-    """``raw[key]`` (or ``default``) as ``kind``: an integer for int, any real
-    number for float.  Anything else, bools and strings included, raises a
-    ConfigError naming the key; nothing is truncated."""
-    value = raw.get(key, default)
-    allowed = numbers.Integral if kind is int else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} must be {what}, got {value!r}")
-    return kind(value)
+def _read_config(path: str) -> dict:
+    """The JSON object in the config file at ``path``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: config root must be a JSON object")
+    return raw
 
 
 @dataclass
@@ -52,50 +49,30 @@ class RunConfig:
     split_seed: int | None = None
     min_class_count: int = 0
 
+    def __post_init__(self):
+        check_fields(self)
+        if self.normalize not in NORMALIZE_MODES:
+            raise ConfigError(f"normalize must be zscore|minmax|none, got {self.normalize!r}")
+        if self.split_seed is not None and self.split_seed < 0:
+            raise ConfigError(f"split_seed must be >= 0, got {self.split_seed}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+
     @classmethod
-    def load(cls, path: str | None, overrides: argparse.Namespace) -> "RunConfig":
-        raw: dict = {}
-        if path is not None:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-            if not isinstance(raw, dict):
-                raise ConfigError(f"{path}: config root must be a JSON object")
-        train_raw = raw.get("train", {})
-        if not isinstance(train_raw, dict):
-            raise ConfigError(f"train config must be a JSON object, got {train_raw!r}")
-        unknown = set(train_raw) - {f.name for f in fields(TrainConfig)}
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        split_seed = raw.get("split_seed")
-        cfg = cls(
-            model=ModelConfig.from_dict(raw.get("model", {})),
-            train=TrainConfig(**train_raw),
-            data=raw.get("data"),
-            out=raw.get("out", "."),
-            normalize=raw.get("normalize", "zscore"),
-            test_fraction=_convert(raw, "test_fraction", float, 0.25),
-            split_seed=None if split_seed is None else _convert(raw, "split_seed", int, None),
-            min_class_count=_convert(raw, "min_class_count", int, 0),
-        )
-        if getattr(overrides, "epochs", None) is not None:
-            cfg.train.epochs = overrides.epochs
-        if getattr(overrides, "seed", None) is not None:
-            cfg.train.seed = overrides.seed
-        if getattr(overrides, "data", None) is not None:
-            cfg.data = overrides.data
-        if getattr(overrides, "out", None) is not None:
-            cfg.out = overrides.out
-        for key in ("data", "out"):
-            if not isinstance(getattr(cfg, key), (str, type(None))):
-                raise ConfigError(f"{key} must be a path string, got {getattr(cfg, key)!r}")
-        if cfg.normalize not in NORMALIZE_MODES:
-            raise ConfigError(f"normalize must be zscore|minmax|none, got {cfg.normalize!r}")
-        if cfg.split_seed is not None and cfg.split_seed < 0:
-            raise ConfigError(f"split_seed must be >= 0, got {cfg.split_seed}")
-        if not 0.0 < cfg.test_fraction < 1.0:
-            raise ConfigError(f"test_fraction must be in (0, 1), got {cfg.test_fraction}")
-        cfg.train.__post_init__()
-        return cfg
+    def load(cls, path: str | None, flags: argparse.Namespace) -> "RunConfig":
+        """The run config in the file at ``path`` (all defaults when None),
+        with the flags that were given in place of the file's values:
+        ``--epochs`` and ``--seed`` in its train section, ``--data`` and
+        ``--out`` at its top level."""
+        raw = _read_config(path) if path is not None else {}
+
+        def given(*names) -> dict:
+            return {name: getattr(flags, name) for name in names if getattr(flags, name, None) is not None}
+
+        return config_from(cls, raw, "run", **given("data", "out"),
+                           model=ModelConfig.from_dict(raw.get("model", {})),
+                           train=config_from(TrainConfig, raw.get("train", {}), "train",
+                                             **given("epochs", "seed")))
 
 
 def _clean_partials(out_dir: Path):
@@ -104,16 +81,15 @@ def _clean_partials(out_dir: Path):
             stale.unlink()
 
 
+def _write(path: Path, write):
+    """Call ``write`` on ``<path>.partial``, then rename it to ``path``."""
+    tmp = path.with_name(path.name + ".partial")
+    write(tmp)
+    os.replace(tmp, path)
+
+
 def _write_text(path: Path, text: str):
-    tmp = path.with_name(path.name + ".partial")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _write_csv(dataset: Dataset, path: Path):
-    tmp = path.with_name(path.name + ".partial")
-    save_csv(dataset, tmp)
-    os.replace(tmp, path)
+    _write(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def _write_confusion(path: Path, confusion: np.ndarray):
@@ -150,16 +126,14 @@ def cmd_train(args) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _clean_partials(out_dir)
-    _write_csv(test_raw, out_dir / "test_split.csv")  # raw rows, for later eval runs
+    _write(out_dir / "test_split.csv", lambda tmp: save_csv(test_raw, tmp))  # raw rows, for later eval runs
 
     train_set = _maybe_normalize(train_raw, cfg.normalize)
     test_set = _maybe_normalize(test_raw, cfg.normalize)
     params = init_params(cfg.model, seed=cfg.train.seed)
     params, report = train(params, train_set, test_set, cfg.train, log=print)
 
-    ckpt_tmp = out_dir / "model.ckpt.partial"
-    save_checkpoint(params, ckpt_tmp, normalize=cfg.normalize)
-    os.replace(ckpt_tmp, out_dir / "model.ckpt")
+    _write(out_dir / "model.ckpt", lambda tmp: save_checkpoint(params, tmp, normalize=cfg.normalize))
     _write_text(out_dir / "report.json", report.to_json())
     if report.confusion is not None:
         _write_confusion(out_dir / "confusion.csv", report.confusion)
@@ -221,10 +195,7 @@ def cmd_reconstruct(args) -> int:
 def cmd_gradcheck(args) -> int:
     cfg = ModelConfig.tiny()
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{args.config}: config root must be a JSON object")
+        raw = _read_config(args.config)
         cfg = ModelConfig.from_dict(raw.get("model", raw))
     corrupt = getattr(args, "inject_fault", None)
     results = run_suite(cfg, seed=args.seed or 0, corrupt=corrupt)
@@ -243,13 +214,17 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.length < 8:
+        raise ConfigError(f"--length must be >= 8, got {args.length}")
+    if args.num_per_class < 1:
+        raise ConfigError(f"--num-per-class must be >= 1, got {args.num_per_class}")
     out_path = Path(args.out)
     if out_path.parent and not out_path.parent.exists():
         out_path.parent.mkdir(parents=True, exist_ok=True)
     _clean_partials(out_path.parent)
     dataset = synth_waveforms(num_per_class=args.num_per_class, L=args.length,
                               noise_sigma=args.noise, seed=args.seed or 0)
-    _write_csv(dataset, out_path)
+    _write(out_path, lambda tmp: save_csv(dataset, tmp))
     print(f"wrote {len(dataset)} signals to {out_path}")
     return 0
 

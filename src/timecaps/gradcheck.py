@@ -8,6 +8,7 @@ cells, routing, classification, decoder, combined loss) on the tiny config.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -16,9 +17,15 @@ import numpy as np
 from . import tensor as T
 from .capsules import LossParams, class_votes, dynamic_routing, margin_loss, squash
 from .conv import conv1d, conv2d, deconv1d
-from .model import ModelConfig, init_params, model_forward
+from .errors import ConfigError
+from .model import ModelConfig, init_params, model_forward, param_shapes
 from .tensor import Tensor
 from .training import TrainConfig, total_loss
+
+# The most coordinates (parameters plus input samples) the full-model check
+# will difference.  Each costs two forwards, about 2 ms on the tiny config's
+# 1,907 coordinates, and a larger model costs more per forward.
+MAX_CHECKED_COORDINATES = 10_000
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
@@ -67,8 +74,15 @@ def _both_operands(op: Callable[[Tensor, Tensor], Tensor], x: np.ndarray, k: np.
 def run_suite(cfg: ModelConfig | None = None, seed: int = 0, h: float = 1e-5,
               corrupt: str | None = None) -> list[ComponentCheck]:
     """Gradient-check every component; ``corrupt`` names a component whose
-    analytic gradient is deliberately offset (negative-control hook)."""
+    analytic gradient is deliberately offset (negative-control hook).
+
+    Raises ConfigError, before checking anything, for a model with more
+    than MAX_CHECKED_COORDINATES parameter and input coordinates."""
     cfg = cfg or ModelConfig.tiny()
+    coordinates = sum(math.prod(shape) for shape in param_shapes(cfg).values()) + cfg.L
+    if coordinates > MAX_CHECKED_COORDINATES:
+        raise ConfigError(f"the model has {coordinates:,} parameter and input coordinates, more than "
+                          f"the {MAX_CHECKED_COORDINATES:,} the full-model check differences")
     rng = np.random.default_rng(seed)
     results: list[ComponentCheck] = []
 

@@ -22,7 +22,6 @@ needs); ``model_forward`` adds the decoder's reconstruction.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -30,20 +29,10 @@ import numpy as np
 from . import tensor as T
 from .capsules import capsule_length, class_votes, dynamic_routing, squash
 from .conv import conv1d, conv2d, deconv1d
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_fields, config_from, is_integer
 from .tensor import Tensor
 
 DeconvSpec = tuple[int, int, int]  # (out channels, kernel width, stride)
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _integer(value) -> int:
-    if not _is_integer(value):
-        raise TypeError(f"{value!r} is not an integer")
-    return int(value)
 
 
 @dataclass
@@ -81,39 +70,31 @@ class ModelConfig:
     decoder_deconv: tuple[DeconvSpec, ...] = ((128, 4, 2), (64, 4, 2), (32, 4, 2), (16, 6, 2), (1, 1, 1))
 
     def __post_init__(self):
+        check_fields(self)
         try:
-            self.decoder_fc = tuple(_integer(v) for v in self.decoder_fc)
+            self.decoder_fc = tuple(self.decoder_fc)
         except TypeError:
             raise ConfigError(f"decoder_fc must be two positive widths, got {self.decoder_fc!r}") from None
         try:
-            self.decoder_deconv = tuple(tuple(_integer(v) for v in spec) for spec in self.decoder_deconv)
+            self.decoder_deconv = tuple(tuple(spec) for spec in self.decoder_deconv)
         except TypeError:
             raise ConfigError("decoder_deconv must be five (channels, width, stride) stages, "
                               f"got {self.decoder_deconv!r}") from None
-        self.validate()
-
-    def validate(self):
-        ints = {
-            "L": self.L, "k": self.k, "g1": self.g1, "g2": self.g2, "g3": self.g3,
-            "g_b": self.g_b, "c_p": self.c_p, "a_p": self.a_p, "c_sa": self.c_sa,
-            "a_sa": self.a_sa, "c_b": self.c_b, "a_b": self.a_b, "n": self.n,
-            "c_sb": self.c_sb, "a_sb": self.a_sb, "a_sig": self.a_sig,
-            "num_classes": self.num_classes, "routing_iters": self.routing_iters,
-        }
-        for name, value in ints.items():
-            if not _is_integer(value) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and value < 1:
+                raise ConfigError(f"{f.name} must be a positive integer, got {value!r}")
         if self.L % self.n != 0:
             raise ConfigError(f"L={self.L} must be divisible by segment length n={self.n}")
         if self.a_sa != self.a_sb:
             raise ConfigError(f"a_sa={self.a_sa} must equal a_sb={self.a_sb} for concatenation")
-        if len(self.decoder_fc) != 2 or any(v < 1 for v in self.decoder_fc):
+        if len(self.decoder_fc) != 2 or not all(is_integer(v) and v >= 1 for v in self.decoder_fc):
             raise ConfigError(f"decoder_fc must be two positive widths, got {self.decoder_fc}")
         if len(self.decoder_deconv) != 5:
             raise ConfigError(f"decoder_deconv must have five stages, got {len(self.decoder_deconv)}")
         for spec in self.decoder_deconv:
-            if len(spec) != 3 or any(v < 1 for v in spec):
-                raise ConfigError(f"bad decoder stage {spec}; want (channels, width, stride) >= 1")
+            if len(spec) != 3 or not all(is_integer(v) and v >= 1 for v in spec):
+                raise ConfigError(f"decoder_deconv stage {spec} must be (channels, width, stride) >= 1")
         self.decoder_seed()  # raises if the deconv chain cannot reproduce L
 
     @property
@@ -149,12 +130,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"model config must be a JSON object, got {d!r}")
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**d)
+        return config_from(cls, d, "model")
 
     @classmethod
     def toy(cls, num_classes: int = 3) -> "ModelConfig":
@@ -183,9 +159,6 @@ class ModelParams:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
 
     def items(self):
         return self._tensors.items()

@@ -20,16 +20,15 @@ silently wrong, because the vote kernel shapes are the same in both orders.
 from __future__ import annotations
 
 import json
-import numbers
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .capsules import LossParams, margin_loss, mse_loss
 from .data import Dataset
-from .errors import CheckpointError, ConfigError, TrainingError
+from .errors import CheckpointError, ConfigError, TrainingError, check_fields
 from .model import (ForwardOutput, ModelConfig, ModelParams, classify, from_v1_layout, model_forward,
                     param_shapes, v1_param_shapes)
 from .optim import AdamState, adam_step
@@ -53,12 +52,7 @@ class TrainConfig:
     lr_decay: float = 1.0  # per-epoch multiplier; 1.0 disables decay
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind = numbers.Integral if f.type == "int" else numbers.Real
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ConfigError(f"{f.name} must be {'an integer' if f.type == 'int' else 'a number'}, "
-                                  f"got {value!r}")
+        check_fields(self)
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.seed < 0:
@@ -88,16 +82,7 @@ class TrainReport:
 
     def to_dict(self) -> dict:
         return {
-            "epochs": [
-                {
-                    "epoch": e.epoch,
-                    "margin_loss": e.margin_loss,
-                    "recon_loss": e.recon_loss,
-                    "train_accuracy": e.train_accuracy,
-                    "test_accuracy": e.test_accuracy,
-                }
-                for e in self.epochs
-            ],
+            "epochs": [asdict(e) for e in self.epochs],
             "confusion": self.confusion.tolist() if self.confusion is not None else None,
             "wall_time_seconds": self.wall_time_seconds,
         }
@@ -106,12 +91,19 @@ class TrainReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+def loss_terms(fwd: ForwardOutput, target: Tensor, true_class,
+               cfg: TrainConfig) -> tuple[Tensor, Tensor, Tensor]:
+    """The combined loss, margin loss on class lengths plus down-weighted
+    reconstruction MSE, and its two unweighted terms, all on one tape; one
+    loss per row when the forward carries a batch axis."""
+    margin = margin_loss(fwd.class_lengths, true_class, LossParams(lam=cfg.lambda_margin))
+    recon = mse_loss(fwd.reconstruction, target)
+    return T.add(margin, T.mul(recon, cfg.recon_weight)), margin, recon
+
+
 def total_loss(fwd: ForwardOutput, target: Tensor, true_class, cfg: TrainConfig) -> Tensor:
-    """Margin loss on class lengths plus down-weighted reconstruction MSE;
-    one loss per row when the forward carries a batch axis."""
-    loss_params = LossParams(lam=cfg.lambda_margin)
-    margin = margin_loss(fwd.class_lengths, true_class, loss_params)
-    return T.add(margin, T.mul(mse_loss(fwd.reconstruction, target), cfg.recon_weight))
+    """The combined loss of ``loss_terms``."""
+    return loss_terms(fwd, target, true_class, cfg)[0]
 
 
 def _stack(signals) -> Tensor:
@@ -152,7 +144,8 @@ def _backprop_batch(params: ModelParams, signals, cfg: TrainConfig,
     x = _stack(signals)
     labels = np.array([sig.label for sig in signals])
     fwd = model_forward(x, params, params.config, mask_class=labels)
-    loss = T.sum_over(total_loss(fwd, x, labels, cfg))
+    total, margin, recon = loss_terms(fwd, x, labels, cfg)
+    loss = T.sum_over(total)
     if not np.isfinite(loss.data):
         raise TrainingError(f"non-finite loss {loss.item()} at {where}")
     loss.backward()
@@ -160,9 +153,6 @@ def _backprop_batch(params: ModelParams, signals, cfg: TrainConfig,
         if p.grad is not None and not np.isfinite(p.grad).all():
             raise TrainingError(f"non-finite gradient of {name!r} at {where} "
                                 f"(loss {loss.item():.6g} is finite)")
-    with no_grad():  # the two reported terms, read off the same forward
-        margin = margin_loss(fwd.class_lengths, labels, LossParams(lam=cfg.lambda_margin))
-        recon = mse_loss(fwd.reconstruction, x)
     return float(np.sum(margin.data)), float(np.sum(recon.data))
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, file artifacts, overrides."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import timecaps
 from timecaps import cli
 from timecaps.cli import main
+from timecaps.model import ModelConfig
 from timecaps.training import load_checkpoint
 from test_training import write_v1_checkpoint
 
@@ -69,6 +71,17 @@ class TestSynthCommand:
         out = tmp_path / "s.csv"
         assert main(["synth", "--out", str(out), "--seed", "-1", "--num-per-class", "2"]) == 2
         assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--length", "4", "--length must be >= 8, got 4"),
+        ("--num-per-class", "0", "--num-per-class must be >= 1, got 0"),
+    ])
+    def test_bad_size_exits_2_writing_nothing(self, tmp_path, capsys, flag, value, message):
+        # negative control: synth_waveforms' ValueError escaped as a traceback and exit 1
+        out = tmp_path / "new" / "s.csv"
+        assert main(["synth", "--out", str(out), flag, value]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_python_dash_m_runs_the_cli(self, tmp_path):
@@ -242,6 +255,32 @@ class TestTrainCommand:
         assert f"error: {key} must be" in capsys.readouterr().err
         assert not (out_dir / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("key,value", [("normalise", "minmax"), ("test_fracton", 0.5)])
+    def test_unknown_top_level_key_exits_2(self, tmp_path, synth_csv, capsys, key, value):
+        # negative control: a misspelt top-level key was ignored, and the run
+        # trained with the default it meant to change
+        out_dir = tmp_path / "run8"
+        cfg_path = smoke_config(tmp_path, synth_csv, out_dir)
+        cfg = json.loads(cfg_path.read_text())
+        cfg[key] = value
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert f"error: unknown run config keys: ['{key}']" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_readme_config_loads(self, tmp_path):
+        # the README's example run config, read through the same loader as `train --config`
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.json"
+        path.write_text(block, encoding="utf-8")
+        cfg = cli.RunConfig.load(str(path), argparse.Namespace())
+        raw = json.loads(block)
+        assert cfg.model == ModelConfig.from_dict(raw.pop("model"))
+        assert {key: getattr(cfg.train, key) for key in raw["train"]} == raw.pop("train")
+        assert {key: getattr(cfg, key) for key in raw} == raw
+
     def test_negative_seed_flag_exits_2(self, tmp_path, synth_csv, capsys):
         # negative control: the seed reached np.random.default_rng, a traceback
         out_dir = tmp_path / "run"
@@ -412,6 +451,16 @@ class TestGradcheckCommand:
         cfg.write_text(json.dumps({"model": {"bogus": 1}}))
         assert main(["gradcheck", "--config", str(cfg)]) == 2
         assert "unknown model config keys: ['bogus']" in capsys.readouterr().err
+
+    def test_oversized_config_exits_2_at_once(self, tmp_path, capsys):
+        # negative control: the desk-scale model's 282,195 coordinates were
+        # differenced one by one, for many minutes and with no output
+        cfg = tmp_path / "gc.json"
+        cfg.write_text(json.dumps({"model": ModelConfig.toy().to_dict()}))
+        assert main(["gradcheck", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "error: the model has 282,195 parameter and input coordinates" in captured.err
+        assert captured.out == ""
 
 
 class TestExitCodes:

@@ -206,32 +206,36 @@ class TestTrainLoop:
                            match=f"non-finite gradient of 'front_kernels' at epoch 1, batch {batch} "):
             train(init_params(tiny_cfg, seed=0), ds, ds, TrainConfig(epochs=2, batch_size=4, seed=0))
 
-    def test_batch_gradient_is_mean_of_example_gradients(self, tiny_cfg, rng):
-        # one epoch of 5 rows in batches of 2 (uneven last batch) must equal
-        # Adam on per-example gradients averaged by hand
+    @pytest.mark.parametrize("lr_decay", [1.0, 0.5])
+    def test_batch_gradient_is_mean_of_example_gradients(self, tiny_cfg, rng, lr_decay):
+        # two epochs of 5 rows in batches of 2 (uneven last batch) must equal
+        # Adam on per-example gradients averaged by hand, at the decayed rate
         ds = small_dataset(rng, tiny_cfg, per_class=2)
         sigs = ds.signals[:3] + ds.signals[2:4]
         ds = Dataset(sigs, tiny_cfg.L, tiny_cfg.num_classes)
-        tcfg = TrainConfig(epochs=1, batch_size=2, seed=4)
+        tcfg = TrainConfig(epochs=2, batch_size=2, seed=4, lr_decay=lr_decay)
         out, _ = train(init_params(tiny_cfg, seed=2), ds, ds, tcfg)
 
         params = init_params(tiny_cfg, seed=2)
         state = AdamState.for_params(params.tensors(), lr=tcfg.lr)
-        order = np.random.default_rng(tcfg.seed).permutation(len(ds))
-        for lo in range(0, len(order), tcfg.batch_size):
-            batch = order[lo : lo + tcfg.batch_size]
-            grads = {k: np.zeros_like(p.data) for k, p in params.items()}
-            for idx in batch:
-                params.zero_grad()
-                sig = ds.signals[int(idx)]
-                x = Tensor(sig.samples)
-                total_loss(model_forward(x, params, tiny_cfg, mask_class=sig.label),
-                           x, sig.label, tcfg).backward()
-                for k, p in params.items():
-                    if p.grad is not None:
-                        grads[k] += p.grad / len(batch)
-            new_tensors, state = adam_step(params.tensors(), grads, state)
-            params = params.replace(new_tensors)
+        shuffle = np.random.default_rng(tcfg.seed)
+        for epoch in range(1, tcfg.epochs + 1):
+            state.lr = tcfg.lr * lr_decay ** (epoch - 1)
+            order = shuffle.permutation(len(ds))
+            for lo in range(0, len(order), tcfg.batch_size):
+                batch = order[lo : lo + tcfg.batch_size]
+                grads = {k: np.zeros_like(p.data) for k, p in params.items()}
+                for idx in batch:
+                    params.zero_grad()
+                    sig = ds.signals[int(idx)]
+                    x = Tensor(sig.samples)
+                    total_loss(model_forward(x, params, tiny_cfg, mask_class=sig.label),
+                               x, sig.label, tcfg).backward()
+                    for k, p in params.items():
+                        if p.grad is not None:
+                            grads[k] += p.grad / len(batch)
+                new_tensors, state = adam_step(params.tensors(), grads, state)
+                params = params.replace(new_tensors)
         for k in params.names():
             assert np.allclose(out[k].data, params[k].data, rtol=1e-9, atol=1e-12), k
 
