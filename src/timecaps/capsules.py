@@ -61,17 +61,17 @@ from .tensor import Tensor, _accumulate, make_op
 _NORM_EPS = 1e-30
 
 
+# Sabour et al. 2017's margin-loss bounds: a present class should have a
+# capsule length of at least M_PLUS, an absent one at most M_MINUS.
+M_PLUS = 0.9
+M_MINUS = 0.1
+
+
 @dataclass(frozen=True)
 class LossParams:
-    """Margin-loss constants: presence bound, absence bound, absence weight."""
+    """Margin-loss absence weight (lambda)."""
 
-    m_plus: float = 0.9
-    m_minus: float = 0.1
     lam: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.m_minus < self.m_plus <= 1.0:
-            raise ValueError(f"require 0 < m_minus < m_plus <= 1, got {self}")
 
 
 @dataclass
@@ -175,8 +175,21 @@ def class_votes(u: Tensor, weights: Tensor) -> Tensor:
 
 
 def capsule_length(t: Tensor, axis: int = -1) -> Tensor:
-    """Euclidean norm along ``axis`` (the capsule's existence probability)."""
-    return T.sqrt(T.sum_over(T.mul(t, t), axes=(axis,)))
+    """Euclidean norm along ``axis`` (the capsule's existence probability).
+
+    One tape node.  Its backward is g x / n, evaluated as h x + h x with
+    h = g / (2 n) as the chain sqrt(sum(x * x)) would, and zero at the zero
+    vector (a flat input row's capsules), where the norm has no derivative.
+    """
+    x = t.data
+    n = np.sqrt(np.sum(x * x, axis=axis))
+
+    def backward(gout):
+        h = np.divide(gout, 2.0 * n, out=np.zeros_like(n), where=n > 0)
+        hx = np.expand_dims(h, axis) * x
+        _accumulate(t, hx + hx, owned=True)
+
+    return make_op(n, (t,), backward)
 
 
 # Floats of temporaries per chunk of outer rows in the routing backward (1 MiB).
@@ -438,8 +451,8 @@ def margin_loss(lengths: Tensor, true_class, params: LossParams = LossParams()) 
     if np.any(labels < 0) or np.any(labels >= num_classes):
         raise ValueError(f"true_class {true_class} out of range for {num_classes} classes")
     onehot = np.eye(num_classes)[labels]
-    present = T.relu(T.sub(float(params.m_plus), lengths))
-    absent = T.relu(T.sub(lengths, float(params.m_minus)))
+    present = T.relu(T.sub(M_PLUS, lengths))
+    absent = T.relu(T.sub(lengths, M_MINUS))
     terms = T.add(
         T.mul(Tensor(onehot), T.mul(present, present)),
         T.mul(T.mul(Tensor(1.0 - onehot), T.mul(absent, absent)), params.lam),

@@ -57,6 +57,8 @@ class RunConfig:
             raise ConfigError(f"split_seed must be >= 0, got {self.split_seed}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if self.min_class_count < 0:
+            raise ConfigError(f"min_class_count must be >= 0, got {self.min_class_count}")
 
     @classmethod
     def load(cls, path: str | None, flags: argparse.Namespace) -> "RunConfig":
@@ -133,11 +135,13 @@ def cmd_train(args) -> int:
     params = init_params(cfg.model, seed=cfg.train.seed)
     params, report = train(params, train_set, test_set, cfg.train, log=print)
 
-    _write(out_dir / "model.ckpt", lambda tmp: save_checkpoint(params, tmp, normalize=cfg.normalize))
-    _write_text(out_dir / "report.json", report.to_json())
-    if report.confusion is not None:
-        _write_confusion(out_dir / "confusion.csv", report.confusion)
-    print(f"wrote {out_dir / 'model.ckpt'}, {out_dir / 'report.json'}, {out_dir / 'confusion.csv'}")
+    written = [out_dir / "model.ckpt", out_dir / "report.json"]
+    _write(written[0], lambda tmp: save_checkpoint(params, tmp, normalize=cfg.normalize))
+    _write_text(written[1], report.to_json())
+    if report.confusion is not None:  # None when no epoch ran
+        written.append(out_dir / "confusion.csv")
+        _write_confusion(written[-1], report.confusion)
+    print(f"wrote {', '.join(map(str, written))}")
     return 0
 
 
@@ -197,8 +201,7 @@ def cmd_gradcheck(args) -> int:
     if args.config is not None:
         raw = _read_config(args.config)
         cfg = ModelConfig.from_dict(raw.get("model", raw))
-    corrupt = getattr(args, "inject_fault", None)
-    results = run_suite(cfg, seed=args.seed or 0, corrupt=corrupt)
+    results = run_suite(cfg, seed=args.seed or 0)
     failed = [r for r in results if r.max_rel_error >= GRAD_TOLERANCE]
     width = max(len(r.name) for r in results)
     for r in results:
@@ -218,6 +221,8 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"--length must be >= 8, got {args.length}")
     if args.num_per_class < 1:
         raise ConfigError(f"--num-per-class must be >= 1, got {args.num_per_class}")
+    if not (np.isfinite(args.noise) and args.noise >= 0.0):
+        raise ConfigError(f"--noise must be a finite number >= 0, got {args.noise}")
     out_path = Path(args.out)
     if out_path.parent and not out_path.parent.exists():
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -263,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
     p_gc.add_argument("--config", default=None)
     p_gc.add_argument("--seed", type=int, default=0)
-    p_gc.add_argument("--inject-fault", default=None, help=argparse.SUPPRESS)
     p_gc.set_defaults(func=cmd_gradcheck)
 
     p_syn = sub.add_parser("synth", help="generate the synthetic waveform dataset CSV")

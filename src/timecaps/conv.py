@@ -3,21 +3,24 @@ recorded gradients.
 
 Layout conventions (each input may carry an optional leading batch axis B,
 which the output then carries too):
-  conv1d    input (L, Cin),   kernels (Cout, g, Cin)      -> (Lout, Cout)
+  conv1d    input (L, Cin),   kernels (Cout, g, Cin)      -> (L, Cout)
   conv2d    input (H, W, 1),  kernels (Cout, gh, gw)      -> (H, W/gw, Cout)
   deconv1d  input (Lin, Cin), kernels (Cin, g, Cout)      -> (Lout, Cout)
 
 conv1d and conv2d share one core, a block convolution: a (B, L, M, C) input
 holds M independent blocks, each correlated along L with the same (Cout, g, C)
-kernels.  conv1d is the case of one block; conv2d cuts its width axis into
-W/gw non-overlapping blocks of gw, so it is a 2D correlation with height
-stride 1 and width stride gw.  The forward is one batched matmul of each
-block's padded windows (the window matrix, im2col) against the kernels.
-conv1d stores its result (B, Lout, Cout).  conv2d stores it block-leading,
-(M, Cout, B*H) in memory, and returns a (B, H, M, Cout) view of that: the
-capsule cells route its output in that layout without a copy.
+kernels at stride 1, same-padded so that the output keeps length L, as the
+paper pads every convolution.  The pad of g - 1 samples is split
+symmetrically, with the extra sample on the right when g is even.  conv1d is
+the case of one block; conv2d cuts its width axis into W/gw non-overlapping
+blocks of gw, so it is a 2D correlation with height stride 1 and width
+stride gw.  The forward is one batched matmul of each block's padded windows
+(the window matrix, im2col) against the kernels.  conv1d stores its result
+(B, L, Cout).  conv2d stores it block-leading, (M, Cout, B*H) in memory, and
+returns a (B, H, M, Cout) view of that: the capsule cells route its output
+in that layout without a copy.
 
-The backward reads the output gradient as (M, Cout, B*Lout) through a view,
+The backward reads the output gradient as (M, Cout, B*L) through a view,
 so a gradient in the output's own layout is not copied, and it never
 rebuilds the window matrix: the forward keeps it on the tape, and the kernel
 gradient is one batched matmul of the output gradient against it.  The
@@ -25,16 +28,13 @@ input gradient is one batched matmul per kernel tap, written tap-major so
 that each tap is one contiguous run, and the taps are added into one
 zero-padded buffer.
 
-deconv1d is the exact adjoint of valid conv1d: with a shared kernel tensor K,
-<conv1d(x, K, valid), y> == <x, deconv1d(y, K)>.  Its forward is the tap
-scatter and its backward the window view.  Same-padding splits the pad
-symmetrically with the extra sample on the right when the total is odd.
+deconv1d is the exact adjoint of the valid (unpadded) strided correlation:
+with a shared kernel tensor K, <valid(x, K, s), y> == <x, deconv1d(y, K, s)>,
+where valid(x, K, s) is conv1d(x, K) read at rows left + s*j.  Its forward is
+the tap scatter and its backward the window view.
 """
 
 from __future__ import annotations
-
-import math
-from typing import Callable
 
 import numpy as np
 
@@ -75,34 +75,23 @@ def _scatter_taps(taps: np.ndarray, length: int, stride: int) -> np.ndarray:
     return out
 
 
-def _block_conv(x: Tensor, xb: np.ndarray, kernels: Tensor, stride: int, pad: str,
-                out_shape: Callable[[int], tuple[int, ...]], block_leading: bool) -> Tensor:
+def _block_conv(x: Tensor, xb: np.ndarray, kernels: Tensor, out_shape: tuple[int, ...],
+                block_leading: bool) -> Tensor:
     """Correlate every block of the (B, L, M, C) view ``xb`` of ``x`` along L
-    with the (Cout, g, C) kernels, giving (B, Lout, M, Cout) reshaped to
-    ``out_shape(Lout)``.  With ``block_leading`` the result is stored (M, Cout,
-    B*Lout) and returned as a view of that storage; otherwise (one block, as
-    in conv1d) it is stored (B, Lout, Cout)."""
-    if stride < 1:
-        raise ValueError(f"stride must be positive, got {stride}")
+    with the (Cout, g, C) kernels, same-padded at stride 1, giving
+    (B, L, M, Cout) reshaped to ``out_shape``.  With ``block_leading`` the
+    result is stored (M, Cout, B*L) and returned as a view of that storage;
+    otherwise (one block, as in conv1d) it is stored (B, L, Cout)."""
     batch, length, blocks, channels = xb.shape
     cout, g, cink = kernels.shape
     if cink != channels:
         raise ShapeError(f"kernel channel dim {cink} != input channels {channels}")
-    if pad == "same":
-        total = max(0, (math.ceil(length / stride) - 1) * stride + g - length)
-        left, right = total // 2, total - total // 2
-    elif pad == "valid":
-        left = right = 0
-        if g > length:
-            raise ShapeError(f"kernel width {g} exceeds input length {length}")
-    else:
-        raise ValueError(f"pad must be 'same' or 'valid', got {pad!r}")
-    lout = (length + left + right - g) // stride + 1
-    rows = batch * lout
+    left, right = (g - 1) // 2, g // 2
+    rows = batch * length
     kf = kernels.data.reshape(cout, g * channels)
 
-    # the (M, B*Lout, g*C) window matrix: one row per output position of a block
-    cols = np.ascontiguousarray(_windows(_pad_axis1(xb, left, right), lout, g, stride))
+    # the (M, B*L, g*C) window matrix: one row per output position of a block
+    cols = np.ascontiguousarray(_windows(_pad_axis1(xb, left, right), length, g, 1))
     cols = cols.reshape(blocks, rows, g * channels)
     # a contiguous (g*C, Cout) copy of the small kernel matrix: BLAS runs the
     # skinny products of few output channels up to twice as fast on it as on kf.T
@@ -110,26 +99,25 @@ def _block_conv(x: Tensor, xb: np.ndarray, kernels: Tensor, stride: int, pad: st
     if block_leading:
         store = np.empty((blocks, cout, rows))
         np.matmul(cols, kt, out=store.transpose(0, 2, 1))
-        out = store.reshape(blocks, cout, batch, lout).transpose(2, 3, 0, 1).reshape(out_shape(lout))
+        out = store.reshape(blocks, cout, batch, length).transpose(2, 3, 0, 1).reshape(out_shape)
     else:  # one block
-        out = (cols @ kt).reshape(out_shape(lout))
+        out = (cols @ kt).reshape(out_shape)
 
     def backward(gout):
-        # (M, Cout, B*Lout) view of the output gradient: no copy when it has
+        # (M, Cout, B*L) view of the output gradient: no copy when it has
         # the output's own layout
-        g_arr = np.asarray(gout).reshape(batch, lout, blocks, cout).transpose(2, 3, 0, 1)
+        g_arr = np.asarray(gout).reshape(batch, length, blocks, cout).transpose(2, 3, 0, 1)
         g_arr = g_arr.reshape(blocks, cout, rows)
         if kernels.requires_grad:
             dk = np.matmul(g_arr, cols).sum(axis=0).reshape(kernels.shape)
             _accumulate(kernels, dk, owned=True)
         if x.requires_grad:
             # tap u of every window is the output gradient times kernel tap u,
-            # written tap-major: (g, B*Lout, M, C)
+            # written tap-major: (g, B*L, M, C)
             taps = np.empty((g, rows, blocks, channels))
             np.matmul(g_arr.transpose(0, 2, 1)[None], kernels.data.transpose(1, 0, 2)[:, None],
                       out=taps.transpose(0, 2, 1, 3))
-            dxp = _scatter_taps(taps.reshape(g, batch, lout, blocks, channels),
-                                length + left + right, stride)
+            dxp = _scatter_taps(taps.reshape(g, batch, length, blocks, channels), length + g - 1, 1)
             _accumulate(x, dxp[:, left : left + length].reshape(x.shape), owned=True)
 
     return make_op(out, (x, kernels), backward)
@@ -144,14 +132,14 @@ def _batched(x: Tensor, ndim: int, layout: str, name: str) -> np.ndarray:
     raise ShapeError(f"{name} input must be {layout} or (B, {layout[1:]}, got {x.shape}")
 
 
-def conv1d(x: Tensor, kernels: Tensor, stride: int = 1, pad: str = "same") -> Tensor:
-    """Correlate (L, Cin) against (Cout, g, Cin) kernels along the length axis."""
+def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
+    """Correlate (L, Cin) against (Cout, g, Cin) kernels along the length
+    axis, same-padded at stride 1, so the output is (L, Cout)."""
     xb = _batched(x, 2, "(L, Cin)", "conv1d")
     if kernels.data.ndim != 3:
         raise ShapeError(f"conv1d kernels must be (Cout, g, Cin), got {kernels.shape}")
-    cout = kernels.shape[0]
-    return _block_conv(x, xb[:, :, None], kernels, stride, pad,
-                       lambda lout: x.shape[:-2] + (lout, cout), block_leading=False)
+    return _block_conv(x, xb[:, :, None], kernels, x.shape[:-1] + (kernels.shape[0],),
+                       block_leading=False)
 
 
 def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
@@ -167,8 +155,8 @@ def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
     cout, _, gw = kernels.shape
     if w % gw:
         raise ShapeError(f"input width {w} is not a multiple of kernel width {gw}")
-    return _block_conv(x, xb.reshape(batch, h, w // gw, gw), kernels, 1, "same",
-                       lambda lout: x.shape[:-3] + (lout, w // gw, cout), block_leading=True)
+    return _block_conv(x, xb.reshape(batch, h, w // gw, gw), kernels,
+                       x.shape[:-2] + (w // gw, cout), block_leading=True)
 
 
 def deconv1d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:

@@ -16,7 +16,7 @@ field; given ``num_classes`` it rejects a label outside
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class Dataset:
     signals: list[LabeledSignal]
     L: int
     num_classes: int
-    class_names: list[str] | None = None
 
     def __post_init__(self):
         for i, sig in enumerate(self.signals):
@@ -45,9 +44,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.signals)
-
-    def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.signals], dtype=int)
 
     def class_counts(self) -> np.ndarray:
         counts = np.zeros(self.num_classes, dtype=int)
@@ -134,7 +130,7 @@ def normalize(dataset: Dataset, mode: str = "zscore") -> tuple[Dataset, list[tup
     y[flat] = 0.0
     out = [LabeledSignal(samples=row, label=sig.label) for row, sig in zip(y, dataset.signals)]
     stats = list(zip(first.tolist(), second.tolist()))
-    return Dataset(out, dataset.L, dataset.num_classes, dataset.class_names), stats
+    return Dataset(out, dataset.L, dataset.num_classes), stats
 
 
 def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -157,7 +153,7 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
         test_idx.update(idx[j] for j in perm[:n_test])
     train_sigs = [s for i, s in enumerate(dataset.signals) if i not in test_idx]
     test_sigs = [s for i, s in enumerate(dataset.signals) if i in test_idx]
-    mk = lambda sigs: Dataset(sigs, dataset.L, dataset.num_classes, dataset.class_names)
+    mk = lambda sigs: Dataset(sigs, dataset.L, dataset.num_classes)
     return mk(train_sigs), mk(test_sigs)
 
 
@@ -171,16 +167,13 @@ def filter_min_class_count(dataset: Dataset, min_count: int) -> Dataset:
         raise DataFormatError(f"no class has at least {min_count} examples")
     remap = {old: new for new, old in enumerate(kept)}
     sigs = [LabeledSignal(s.samples, remap[s.label]) for s in dataset.signals if s.label in remap]
-    names = [dataset.class_names[c] for c in kept] if dataset.class_names else None
-    return Dataset(sigs, dataset.L, len(kept), names)
-
-
-SYNTH_CLASS_NAMES = ["sine", "square", "sawtooth"]
+    return Dataset(sigs, dataset.L, len(kept))
 
 
 def synth_waveforms(num_per_class: int = 200, L: int = 64, noise_sigma: float = 0.1,
                     seed: int = 0) -> Dataset:
-    """Three waveform families with random phase and 2-6 cycles per window."""
+    """Three waveform families with random phase and 2-6 cycles per window:
+    label 0 sine, 1 square, 2 sawtooth."""
     if L < 8:
         raise ValueError(f"L must be >= 8, got {L}")
     if num_per_class < 1:
@@ -202,4 +195,4 @@ def synth_waveforms(num_per_class: int = 200, L: int = 64, noise_sigma: float = 
             if noise_sigma > 0:
                 base = base + rng.normal(0.0, noise_sigma, size=L)
             signals.append(LabeledSignal(samples=base, label=label))
-    return Dataset(signals, L, 3, list(SYNTH_CLASS_NAMES))
+    return Dataset(signals, L, 3)

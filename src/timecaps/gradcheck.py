@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .capsules import LossParams, class_votes, dynamic_routing, margin_loss, squash
+from .capsules import LossParams, capsule_length, class_votes, dynamic_routing, margin_loss, squash
 from .conv import conv1d, conv2d, deconv1d
 from .errors import ConfigError
 from .model import ModelConfig, init_params, model_forward, param_shapes
@@ -71,10 +71,8 @@ def _both_operands(op: Callable[[Tensor, Tensor], Tensor], x: np.ndarray, k: np.
     return max(err, grad_check(lambda t: _weighted_sum(op(xt, t), coeffs), kt, h))
 
 
-def run_suite(cfg: ModelConfig | None = None, seed: int = 0, h: float = 1e-5,
-              corrupt: str | None = None) -> list[ComponentCheck]:
-    """Gradient-check every component; ``corrupt`` names a component whose
-    analytic gradient is deliberately offset (negative-control hook).
+def run_suite(cfg: ModelConfig | None = None, seed: int = 0, h: float = 1e-5) -> list[ComponentCheck]:
+    """Gradient-check every component.
 
     Raises ConfigError, before checking anything, for a model with more
     than MAX_CHECKED_COORDINATES parameter and input coordinates."""
@@ -87,15 +85,13 @@ def run_suite(cfg: ModelConfig | None = None, seed: int = 0, h: float = 1e-5,
     results: list[ComponentCheck] = []
 
     def record(name: str, err: float):
-        if corrupt == name:
-            err += 1.0
         results.append(ComponentCheck(name, err))
 
     # two-operand ops: check both the input and the kernel side.
     x = rng.standard_normal((10, 3))
     k = rng.standard_normal((4, 3, 3))
     r1 = rng.standard_normal((10, 4))
-    record("conv1d", _both_operands(lambda a, b: conv1d(a, b, 1, "same"), x, k, r1, h))
+    record("conv1d", _both_operands(conv1d, x, k, r1, h))
 
     x = rng.standard_normal((6, 8, 1))
     k = rng.standard_normal((5, 3, 4))
@@ -152,6 +148,12 @@ def run_suite(cfg: ModelConfig | None = None, seed: int = 0, h: float = 1e-5,
     w = rng.standard_normal((5, 3, 2, 4))
     r9 = rng.standard_normal((2, 2, 5, 4))
     record("class_votes", _both_operands(class_votes, u, w, r9, h))
+
+    # capsule lengths of (B, C, a_sig) class capsules, away from the zero vector
+    caps = rng.standard_normal((2, 3, 4))
+    r10 = rng.standard_normal((2, 3))
+    record("capsule_length", grad_check(
+        lambda t: _weighted_sum(capsule_length(t, -1), r10), Tensor(caps), h))
     return results
 
 

@@ -322,7 +322,7 @@ def front_conv(x: Tensor, params: ModelParams, cfg: ModelConfig) -> Tensor:
     """Same-padded width-g1 convolution of the raw signal into k feature maps."""
     if x.data.ndim not in (1, 2) or x.shape[-1] != cfg.L:
         raise ShapeError(f"input shape {x.shape} is not ({cfg.L},) or (B, {cfg.L})")
-    return conv1d(T.reshape(x, x.shape + (1,)), params["front_kernels"], stride=1, pad="same")
+    return conv1d(T.reshape(x, x.shape + (1,)), params["front_kernels"])
 
 
 def _cell_votes(stacked: Tensor, kernels: Tensor, parents: int, dim: int) -> Tensor:
@@ -349,7 +349,7 @@ def cell_a_forward(phi: Tensor, params: ModelParams, cfg: ModelConfig) -> Tensor
     over the primary channel blocks."""
     lead = phi.shape[:-2]
     length, fa = cfg.L, cfg.c_p * cfg.a_p
-    feats = conv1d(phi, params["cell_a_conv"], stride=1, pad="same")  # (L, c_p*a_p)
+    feats = conv1d(phi, params["cell_a_conv"])  # (L, c_p*a_p)
     primary = squash(T.reshape(feats, lead + (length, cfg.c_p, cfg.a_p)), axis=-1)
     stacked = T.reshape(primary, lead + (length, fa, 1))
     # one width-a_p block per primary capsule: block axis = c_p
@@ -365,8 +365,8 @@ def cell_b_forward(phi: Tensor, params: ModelParams, cfg: ModelConfig) -> Tensor
     lead = phi.shape[:-2]
     length, fb, n = cfg.L, cfg.c_b * cfg.a_b, cfg.n
     segments = length // n
-    reduced = conv1d(phi, params["cell_b_reduce"], stride=1, pad="same")  # 1x1 conv
-    feats = conv1d(reduced, params["cell_b_conv"], stride=1, pad="same")  # (L, c_b*a_b)
+    reduced = conv1d(phi, params["cell_b_reduce"])  # 1x1 conv
+    feats = conv1d(reduced, params["cell_b_conv"])  # (L, c_b*a_b)
     primary = squash(T.reshape(feats, lead + (segments, n, fb)), axis=-1)
     stacked = T.reshape(primary, lead + (segments, n * fb, 1))
     # one width-fb block per segment sample: block axis = n

@@ -10,22 +10,24 @@ from .errors import ShapeError
 from .tensor import Tensor
 
 
+# Kingma & Ba 2015's moment decay rates and denominator floor; every run uses them.
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     """Per-parameter first/second moments plus the shared step counter."""
 
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: dict[str, Tensor], lr: float = 0.001,
-                   beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
+    def for_params(cls, params: dict[str, Tensor], lr: float = 0.001) -> "AdamState":
+        state = cls(lr=lr)
         state.first_moment = {name: np.zeros_like(p.data) for name, p in params.items()}
         state.second_moment = {name: np.zeros_like(p.data) for name, p in params.items()}
         return state
@@ -42,24 +44,24 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     ``p - lr * (m / c1) / (sqrt(v / c2) + eps)`` with fresh moments.
     """
     t = state.step_count + 1
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
     updated: dict[str, Tensor] = {}
     for name, p in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
         if g.shape != p.shape:
             raise ShapeError(f"gradient shape {g.shape} != param shape {p.shape} for {name!r}")
         m = state.first_moment[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
         v = state.second_moment[name]
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
         step = m / c1
         step *= state.lr
         denom = v / c2
         np.sqrt(denom, out=denom)
-        denom += state.epsilon
+        denom += EPSILON
         step /= denom
         np.subtract(p.data, step, out=step)
         updated[name] = Tensor(step, requires_grad=p.requires_grad)

@@ -203,15 +203,6 @@ def relu(t: Tensor) -> Tensor:
     return make_op(np.where(mask, t.data, 0.0), (t,), backward)
 
 
-def sqrt(t: Tensor) -> Tensor:
-    out = np.sqrt(t.data)
-
-    def backward(gout):
-        _accumulate(t, gout / (2.0 * out), owned=True)
-
-    return make_op(out, (t,), backward)
-
-
 def _normalize_axes(axes, ndim) -> tuple[int, ...]:
     if axes is None:
         return tuple(range(ndim))

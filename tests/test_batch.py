@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from timecaps import tensor as T
-from timecaps.capsules import dynamic_routing, dynamic_routing_trace, margin_loss, mse_loss, squash
+from timecaps.capsules import (capsule_length, dynamic_routing, dynamic_routing_trace, margin_loss, mse_loss,
+                               squash)
 from timecaps.conv import conv1d, conv2d, deconv1d
 from timecaps.model import ModelConfig, classify, init_params, model_forward
 from timecaps.tensor import Tensor
@@ -95,11 +96,12 @@ def test_ops_batch_axis_matches_loop(rng):
     votes = rng.standard_normal((3, 2, 2, 4, 5))
     caps = rng.standard_normal((3, 4, 6))
     cases = [
-        (lambda t: conv1d(t, k1, 2, "same"), x1),
+        (lambda t: conv1d(t, k1), x1),
         (lambda t: conv2d(t, k2), x2),
         (lambda t: deconv1d(t, kd, 2), xd),
         (lambda t: dynamic_routing(t, 3), votes),
         (lambda t: squash(t, -1), caps),
+        (lambda t: capsule_length(t, -1), caps),
     ]
     for op, x in cases:
         batched = op(Tensor(x)).data

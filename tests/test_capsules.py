@@ -15,7 +15,6 @@ from timecaps import capsules, model
 from timecaps import tensor as T
 from timecaps.capsules import (
     _NORM_EPS,
-    LossParams,
     _flat_form,
     _route,
     capsule_length,
@@ -159,6 +158,18 @@ class TestCapsuleLength:
 
     def test_zero(self):
         assert capsule_length(Tensor(np.zeros((1, 4))), axis=-1).data[0] == 0.0
+
+    def test_zero_capsule_gets_zero_finite_gradient(self, rng):
+        # negative control: as sqrt(sum(x * x)), the zero row's gradient was
+        # 0 * inf = NaN, and NaN reached every parameter of a flat input row
+        x = rng.standard_normal((3, 4))
+        x[1] = 0.0
+        xt = Tensor(x, requires_grad=True)
+        T.sum_over(T.mul(capsule_length(xt, -1), Tensor(np.array([0.5, 2.0, -1.0])))).backward()
+        assert np.all(np.isfinite(xt.grad))
+        assert np.array_equal(xt.grad[1], np.zeros(4))
+        for i, w in ((0, 0.5), (2, -1.0)):
+            assert np.allclose(xt.grad[i], w * x[i] / np.linalg.norm(x[i]), rtol=1e-14)
 
     def test_composition_with_squash(self, rng):
         v = rng.standard_normal((20, 8))
@@ -403,10 +414,6 @@ class TestMarginLoss:
     def test_bad_class_index(self):
         with pytest.raises(ValueError):
             margin_loss(Tensor(np.array([0.5, 0.5])), 2)
-
-    def test_loss_params_validation(self):
-        with pytest.raises(ValueError):
-            LossParams(m_plus=0.1, m_minus=0.9)
 
 
 class TestMseLoss:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import timecaps
-from timecaps import cli
+from timecaps import capsules, cli
 from timecaps.cli import main
 from timecaps.model import ModelConfig
 from timecaps.training import load_checkpoint
@@ -84,6 +84,15 @@ class TestSynthCommand:
         assert f"error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_noise_exits_2_writing_nothing(self, tmp_path, capsys, value):
+        # negative control: each exited 0; -1 and nan were taken as no noise,
+        # and inf wrote a file of inf samples that load_csv then refused
+        out = tmp_path / "new" / "s.csv"
+        assert main(["synth", "--out", str(out), "--noise", value]) == 2
+        assert f"error: --noise must be a finite number >= 0, got {float(value)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_python_dash_m_runs_the_cli(self, tmp_path):
         # negative control: `python -m timecaps` found no timecaps.__main__
         src = str(Path(timecaps.__file__).resolve().parents[1])
@@ -139,6 +148,44 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 2
         assert not (out_dir / "test_split.csv").exists()
         assert not (out_dir / "model.ckpt").exists()
+
+    def test_flat_row_trains(self, tmp_path, synth_csv):
+        # negative control: a constant row normalizes to zeros, its class
+        # capsules are zero vectors, and the gradient of their lengths was
+        # NaN, so the run stopped with a non-finite gradient of
+        # 'front_kernels' and exit 2
+        rows = synth_csv.read_text().splitlines()
+        rows[5] = rows[5].split(",")[0] + "," + ",".join(["3.0"] * 32)
+        synth_csv.write_text("\n".join(rows) + "\n")
+        out_dir = tmp_path / "run_flat"
+        assert main(["train", "--config", str(smoke_config(tmp_path, synth_csv, out_dir, epochs=2))]) == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        losses = [value for epoch in report["epochs"] for value in epoch.values()
+                  if isinstance(value, float)]
+        assert len(losses) >= 2 and np.all(np.isfinite(losses))
+
+    def test_zero_epochs_names_only_written_files(self, tmp_path, synth_csv, capsys):
+        # negative control: the closing line named a confusion.csv that no
+        # epoch had evaluated and nothing wrote
+        out_dir = tmp_path / "run0"
+        cfg = smoke_config(tmp_path, synth_csv, out_dir)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--epochs", "0"]) == 0
+        wrote = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("wrote ")]
+        assert wrote == [f"wrote {out_dir / 'model.ckpt'}, {out_dir / 'report.json'}"]
+        assert not (out_dir / "confusion.csv").exists()
+
+    def test_negative_min_class_count_exits_2(self, tmp_path, synth_csv, capsys):
+        # negative control: -3 was accepted and trained like 0
+        out_dir = tmp_path / "run_mcc"
+        cfg_path = smoke_config(tmp_path, synth_csv, out_dir)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["min_class_count"] = -3
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert "error: min_class_count must be >= 0, got -3" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_dataset_exits_2_without_artifacts(self, tmp_path):
         out_dir = tmp_path / "run2"
@@ -440,11 +487,23 @@ class TestGradcheckCommand:
         lines = [ln for ln in out.splitlines() if "max_rel_error" in ln]
         assert len(lines) >= 6
         for comp in ("conv1d", "conv2d", "deconv1d", "squash", "routing", "matmul", "full_model",
-                     "routing_many_blocks", "class_votes"):
+                     "routing_many_blocks", "class_votes", "capsule_length"):
             assert any(comp in ln for ln in lines)
 
-    def test_fault_injection_negative_control(self, capsys):
-        assert main(["gradcheck", "--inject-fault", "squash"]) == 1
+    def test_gradient_fault_exits_1(self, capsys, monkeypatch):
+        # a squash backward off by 10% must fail the check it feeds
+        real = capsules._squash_backward
+        monkeypatch.setattr(capsules, "_squash_backward", lambda *args: 1.1 * real(*args))
+        assert main(["gradcheck"]) == 1
+        captured = capsys.readouterr()
+        assert any(ln.startswith("squash ") and ln.endswith(" FAIL") for ln in captured.out.splitlines())
+        assert "gradcheck FAILED" in captured.err
+
+    def test_inject_fault_flag_is_unknown(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--inject-fault", "squash"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --inject-fault" in capsys.readouterr().err
 
     def test_unknown_model_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "gc.json"

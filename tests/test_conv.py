@@ -14,13 +14,14 @@ from timecaps.errors import ShapeError
 from timecaps.tensor import Tensor
 
 
-def conv1d_oracle(x, k, stride, pad):
-    """Nested-loop reference: x (L, Cin), k (Cout, g, Cin)."""
+def conv1d_oracle(x, k, pad, stride=1):
+    """Nested-loop reference: x (L, Cin), k (Cout, g, Cin).  pad "same"
+    keeps length L at stride 1; "valid" is the unpadded correlation that
+    deconv1d is the adjoint of, (L - g) // stride + 1 rows."""
     length, cin = x.shape
     cout, g, _ = k.shape
     if pad == "same":
-        total = max(0, length - 1 + g - length) if stride == 1 else None
-        assert stride == 1, "oracle only handles stride 1 same-padding"
+        assert stride == 1, "same padding is stride 1"
         left = (g - 1) // 2
         xp = np.zeros((length + g - 1, cin))
         xp[left : left + length] = x
@@ -36,6 +37,17 @@ def conv1d_oracle(x, k, stride, pad):
                 for c in range(cin):
                     acc += xp[j * stride + t, c] * k[o, t, c]
             out[j, o] = acc
+    return out
+
+
+def placed(y, length, g, stride):
+    """The (length, C) cotangent that puts row j of ``y`` at row left +
+    stride*j: against it, same-padded conv1d sums exactly the products of
+    the valid correlation at that stride (row left + s*j of the same conv
+    is the window starting at s*j)."""
+    out = np.zeros((length, y.shape[1]))
+    left = (g - 1) // 2
+    out[left : left + stride * len(y) : stride] = y
     return out
 
 
@@ -56,53 +68,57 @@ class TestConv1d:
     def test_identity_kernel(self):
         x = Tensor(np.array([[1.0], [2.0], [3.0], [4.0]]))
         k = Tensor(np.array([[[1.0]]]))  # one kernel, width 1
-        out = conv1d(x, k, stride=1, pad="same")
+        out = conv1d(x, k)
         assert np.array_equal(out.data[:, 0], [1.0, 2.0, 3.0, 4.0])
 
     def test_sliding_window_sums(self):
+        # width 2: no left pad, one zero on the right
         x = Tensor(np.array([[1.0], [2.0], [3.0], [4.0]]))
         k = Tensor(np.ones((1, 2, 1)))
-        out = conv1d(x, k, stride=1, pad="valid")
-        assert np.array_equal(out.data[:, 0], [3.0, 5.0, 7.0])
+        out = conv1d(x, k)
+        assert np.array_equal(out.data[:, 0], [3.0, 5.0, 7.0, 4.0])
 
     def test_same_shape(self, rng):
         x = Tensor(rng.standard_normal((6, 3)))
         k = Tensor(rng.standard_normal((5, 3, 3)))
-        assert conv1d(x, k, 1, "same").shape == (6, 5)
-
-    def test_valid_length_formula(self, rng):
-        x = Tensor(rng.standard_normal((11, 2)))
-        k = Tensor(rng.standard_normal((4, 3, 2)))
-        out = conv1d(x, k, stride=2, pad="valid")
-        assert out.shape == ((11 - 3) // 2 + 1, 4)
+        assert conv1d(x, k).shape == (6, 5)
 
     def test_matches_oracle(self, rng):
         for _ in range(10):
             x = rng.standard_normal((9, 3))
             k = rng.standard_normal((4, 3, 3))
-            got = conv1d(Tensor(x), Tensor(k), 1, "same").data
-            assert np.allclose(got, conv1d_oracle(x, k, 1, "same"), atol=1e-12)
-            got = conv1d(Tensor(x), Tensor(k), 2, "valid").data
-            assert np.allclose(got, conv1d_oracle(x, k, 2, "valid"), atol=1e-12)
+            got = conv1d(Tensor(x), Tensor(k)).data
+            assert np.allclose(got, conv1d_oracle(x, k, "same"), atol=1e-12)
+
+    def test_rows_left_plus_sj_are_the_valid_correlation(self, rng):
+        # what the deconv1d adjoint tests rely on: row left + s*j of the
+        # same-padded output is window s*j of the unpadded input
+        for g in (2, 3, 4):
+            left = (g - 1) // 2
+            for stride in (1, 2):
+                x = rng.standard_normal((9, 3))
+                k = rng.standard_normal((4, g, 3))
+                valid = conv1d_oracle(x, k, "valid", stride)
+                got = conv1d(Tensor(x), Tensor(k)).data[left : left + stride * len(valid) : stride]
+                assert np.allclose(got, valid, atol=1e-12)
 
     def test_even_kernel_pads_extra_right(self):
         # width-2 same conv at stride 1: no left pad, one zero on the right
         x = Tensor(np.array([[1.0], [1.0], [1.0]]))
         k = Tensor(np.ones((1, 2, 1)))
-        out = conv1d(x, k, 1, "same")
+        out = conv1d(x, k)
         assert np.array_equal(out.data[:, 0], [2.0, 2.0, 1.0])
 
-    def test_kernel_wider_than_valid_input(self):
-        with pytest.raises(ShapeError):
-            conv1d(Tensor(np.ones((3, 1))), Tensor(np.ones((1, 5, 1))), 1, "valid")
-
-    def test_nonpositive_stride(self):
-        with pytest.raises(ValueError):
-            conv1d(Tensor(np.ones((4, 1))), Tensor(np.ones((1, 2, 1))), 0, "same")
+    def test_kernel_wider_than_input_keeps_length(self, rng):
+        x = rng.standard_normal((3, 1))
+        k = rng.standard_normal((2, 5, 1))
+        got = conv1d(Tensor(x), Tensor(k)).data
+        assert got.shape == (3, 2)
+        assert np.allclose(got, conv1d_oracle(x, k, "same"), atol=1e-12)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            conv1d(Tensor(np.ones((4, 2))), Tensor(np.ones((1, 2, 3))), 1, "same")
+            conv1d(Tensor(np.ones((4, 2))), Tensor(np.ones((1, 2, 3))))
 
 
 class TestConv2d:
@@ -159,7 +175,7 @@ class TestConv2d:
         kb = Tensor(k, requires_grad=True)
         for m in range(3):
             xm = Tensor(x[..., 4 * m : 4 * m + 4, 0], requires_grad=True)
-            om = conv1d(xm, kb, 1, "same")
+            om = conv1d(xm, kb)
             assert np.allclose(out.data[..., m, :], om.data, rtol=1e-13, atol=1e-13)
             T.sum_over(T.mul(om, Tensor(cot[..., m, :]))).backward()
             assert np.allclose(xt.grad[..., 4 * m : 4 * m + 4, 0], xm.grad, rtol=1e-13, atol=1e-13)
@@ -186,7 +202,8 @@ class TestDeconv1d:
             assert np.allclose(got, deconv1d_oracle(x, k, stride), atol=1e-12)
 
     def test_adjoint_identity(self, rng):
-        # <conv(x; K), y> == <x, deconv(y; K)> with the same kernel tensor
+        # <valid(x; K, s), y> == <x, deconv(y; K, s)> with the same kernel
+        # tensor, the valid correlation read off same-padded conv1d
         for stride in (1, 2):
             for _ in range(10):
                 cin, cout, g = 3, 4, 3
@@ -195,19 +212,28 @@ class TestDeconv1d:
                 x = rng.standard_normal((length, cin))
                 k = rng.standard_normal((cout, g, cin))
                 y = rng.standard_normal((lout, cout))
-                lhs = float(np.sum(conv1d(Tensor(x), Tensor(k), stride, "valid").data * y))
+                lhs = float(np.sum(conv1d(Tensor(x), Tensor(k)).data * placed(y, length, g, stride)))
                 rhs = float(np.sum(x * deconv1d(Tensor(y), Tensor(k), stride).data))
                 assert abs(lhs - rhs) < 1e-10
 
     def test_adjoint_matches_conv_input_gradient(self, rng):
-        # deconv forward == gradient map of valid conv1d forward
-        x = Tensor(rng.standard_normal((7, 2)), requires_grad=True)
-        k = Tensor(rng.standard_normal((3, 3, 2)))
+        # deconv forward == gradient map of the valid correlation: the loop
+        # oracle's at stride 1, and same-padded conv1d's against a placed
+        # cotangent at strides 1 and 2
+        k = rng.standard_normal((3, 3, 2))
         y = rng.standard_normal((5, 3))
-        out = conv1d(x, k, 1, "valid")
-        T.sum_over(T.mul(out, Tensor(y))).backward()
-        scattered = deconv1d(Tensor(y), k, stride=1).data
-        assert np.allclose(x.grad, scattered, atol=1e-12)
+        # the map is linear, so coordinate i of its gradient is its value at e_i
+        basis = np.eye(14).reshape(14, 7, 2)
+        oracle_grad = np.array([np.sum(conv1d_oracle(e, k, "valid") * y) for e in basis])
+        scattered = deconv1d(Tensor(y), Tensor(k), stride=1).data
+        assert np.allclose(scattered, oracle_grad.reshape(7, 2), atol=1e-12)
+        for stride in (1, 2):
+            length = stride * (len(y) - 1) + 3
+            xt = Tensor(rng.standard_normal((length, 2)), requires_grad=True)
+            out = conv1d(xt, Tensor(k))
+            T.sum_over(T.mul(out, Tensor(placed(y, length, 3, stride)))).backward()
+            scattered = deconv1d(Tensor(y), Tensor(k), stride=stride).data
+            assert np.allclose(xt.grad, scattered, atol=1e-12)
 
     def test_stride_must_be_positive(self):
         with pytest.raises(ValueError):
