@@ -52,7 +52,7 @@ class Dataset:
         return counts
 
 
-def load_csv(path, expected_L: int | None = None, num_classes: int | None = None) -> Dataset:
+def load_csv(path, num_classes: int | None = None) -> Dataset:
     """Parse a label-plus-samples CSV; the signal length comes from row 1.
 
     Non-numeric and non-finite (nan, inf) samples are rejected, naming the
@@ -60,7 +60,7 @@ def load_csv(path, expected_L: int | None = None, num_classes: int | None = None
     outside ``0..num_classes-1``.  A leading UTF-8 byte-order mark is skipped.
     """
     signals: list[LabeledSignal] = []
-    length = expected_L
+    length = None
     with open(path, "r", encoding="utf-8-sig") as fh:
         for row_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -178,6 +178,8 @@ def synth_waveforms(num_per_class: int = 200, L: int = 64, noise_sigma: float = 
         raise ValueError(f"L must be >= 8, got {L}")
     if num_per_class < 1:
         raise ValueError(f"num_per_class must be >= 1, got {num_per_class}")
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise ValueError(f"noise_sigma must be a finite number >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     t = np.arange(L) / L
     signals: list[LabeledSignal] = []

@@ -1,9 +1,11 @@
 """Finite-difference verification of the recorded gradients.
 
 ``grad_check`` compares the taped gradient of a scalar-valued function
-against central differences, coordinate by coordinate.  ``run_suite`` does
-this for every building block and for a full forward pass (both capsule
-cells, routing, classification, decoder, combined loss) on the tiny config.
+against central differences, coordinate by coordinate.  ``COMPONENTS`` lists
+every engine op and fused op with the operands it is checked on;
+``check_component`` differences one row, and ``run_suite`` every row plus a
+full forward pass (both capsule cells, routing, classification, decoder,
+combined loss) on the tiny config.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .capsules import LossParams, capsule_length, class_votes, dynamic_routing, margin_loss, squash
+from .capsules import capsule_length, class_votes, dynamic_routing, margin_loss, mse_loss, squash
 from .conv import conv1d, conv2d, deconv1d
 from .errors import ConfigError
 from .model import ModelConfig, init_params, model_forward, param_shapes
@@ -59,20 +61,76 @@ class ComponentCheck:
     max_rel_error: float
 
 
-def _weighted_sum(t: Tensor, coeffs: np.ndarray) -> Tensor:
-    return T.sum_over(T.mul(t, Tensor(coeffs)))
+def _normal(*shapes, shift: float = 0.0):
+    """A draw of standard-normal operands of these shapes, plus ``shift``."""
+    return lambda rng: [rng.standard_normal(shape) + shift for shape in shapes]
 
 
-def _both_operands(op: Callable[[Tensor, Tensor], Tensor], x: np.ndarray, k: np.ndarray,
-                   coeffs: np.ndarray, h: float) -> float:
-    """Worst error of ``op(x, k)`` weighted by ``coeffs``, over both operands."""
-    xt, kt = Tensor(x), Tensor(k)
-    err = grad_check(lambda t: _weighted_sum(op(t, kt), coeffs), xt, h)
-    return max(err, grad_check(lambda t: _weighted_sum(op(xt, t), coeffs), kt, h))
+def _clear_of_zero(rng):
+    x = rng.standard_normal((4, 4))
+    return [np.where(np.abs(x) < 0.05, 0.2, x)]  # relu's hinge
+
+
+def _routed(votes: Tensor) -> Tensor:
+    return dynamic_routing(votes, 3)
+
+
+# One row per differentiable op: (name, op on the operand tensors, draw of the
+# operand arrays from a generator).  Every operand is checked.
+COMPONENTS: tuple[tuple[str, Callable[..., Tensor], Callable[[np.random.Generator], list]], ...] = (
+    # same-shape and broadcast operands, a (1,) operand and a Python scalar
+    ("add", lambda a, b, c: T.add(T.add(a, b), c), _normal((3, 4), (3, 4), (4,))),
+    ("sub", lambda a, b, c: T.sub(T.sub(a, b), c), _normal((3, 4), (3, 4), (3, 1))),
+    ("mul", lambda a, b, c: T.mul(T.mul(T.mul(a, b), c), 1.7), _normal((3, 4), (3, 4), (1,))),
+    ("mul_self", lambda a: T.mul(a, a), _normal((3, 4, 2))),  # one tensor used twice
+    ("relu", T.relu, _clear_of_zero),
+    ("sum_over", lambda a: T.sum_over(a, axes=(1,)), _normal((3, 4, 2))),
+    ("mean_over", lambda a: T.mean_over(a, axes=(0, 2)), _normal((3, 4, 2))),
+    ("reshape", lambda a: T.reshape(a, (4, 6)), _normal((3, 4, 2))),
+    ("permute", lambda a: T.permute(a, (2, 0, 1)), _normal((3, 4, 2))),
+    ("concat", lambda a, b: T.concat([a, b], axis=0), _normal((2, 3), (4, 3))),
+    # the tiny config's second decoder dense layer at batch 2
+    ("matmul", T.matmul, _normal((2, 8), (8, 16))),
+    ("conv1d", conv1d, _normal((10, 3), (4, 3, 3))),
+    ("conv2d", conv2d, _normal((6, 8, 1), (5, 3, 4))),
+    ("deconv1d", lambda x, k: deconv1d(x, k, 2), _normal((5, 3), (3, 4, 2))),
+    ("squash", squash, _normal((4, 6), shift=0.5)),
+    ("squash_batch2", squash, _normal((2, 4, 6), shift=0.5)),
+    ("routing", _routed, _normal((2, 3, 4, 5))),
+    ("routing_batch2", _routed, _normal((2, 2, 3, 4, 5))),
+    # more blocks than (outer, parent) rows: routing takes its matmul form
+    ("routing_many_blocks", _routed, _normal((1, 2, 12, 4))),
+    # the class stage's votes at batch 2: (B, N, a_s) capsules through
+    # (N, a_s, classes, a_sig) transforms
+    ("class_votes", class_votes, _normal((2, 5, 3), (5, 3, 2, 4))),
+    # (B, C, a_sig) class capsules, away from the zero vector
+    ("capsule_length", capsule_length, _normal((2, 3, 4))),
+    ("margin_loss", lambda t: margin_loss(t, 2), lambda rng: [rng.uniform(0.15, 0.85, 5)]),
+    ("mse_loss", mse_loss, _normal((6,), (6,))),
+)
+
+
+def check_component(name: str, seed: int = 0, h: float = 1e-5) -> float:
+    """Worst ``grad_check`` error of the ``COMPONENTS`` row ``name``, its
+    output weighted by random coefficients, against each operand in turn.
+
+    The operands and coefficients come from a generator seeded by the seed
+    and the name alone, so a row's inputs do not depend on the other rows."""
+    op, draw = {row[0]: row[1:] for row in COMPONENTS}[name]
+    rng = np.random.default_rng([seed, *name.encode()])
+    operands = [Tensor(a) for a in draw(rng)]
+    coeffs = Tensor(rng.standard_normal(op(*operands).shape))
+    worst = 0.0
+    for i, operand in enumerate(operands):
+        def f(t: Tensor, i=i) -> Tensor:
+            return T.sum_over(T.mul(op(*operands[:i], t, *operands[i + 1:]), coeffs))
+
+        worst = max(worst, grad_check(f, operand, h))
+    return worst
 
 
 def run_suite(cfg: ModelConfig | None = None, seed: int = 0, h: float = 1e-5) -> list[ComponentCheck]:
-    """Gradient-check every component.
+    """Gradient-check every ``COMPONENTS`` row, then the full model.
 
     Raises ConfigError, before checking anything, for a model with more
     than MAX_CHECKED_COORDINATES parameter and input coordinates."""
@@ -81,79 +139,8 @@ def run_suite(cfg: ModelConfig | None = None, seed: int = 0, h: float = 1e-5) ->
     if coordinates > MAX_CHECKED_COORDINATES:
         raise ConfigError(f"the model has {coordinates:,} parameter and input coordinates, more than "
                           f"the {MAX_CHECKED_COORDINATES:,} the full-model check differences")
-    rng = np.random.default_rng(seed)
-    results: list[ComponentCheck] = []
-
-    def record(name: str, err: float):
-        results.append(ComponentCheck(name, err))
-
-    # two-operand ops: check both the input and the kernel side.
-    x = rng.standard_normal((10, 3))
-    k = rng.standard_normal((4, 3, 3))
-    r1 = rng.standard_normal((10, 4))
-    record("conv1d", _both_operands(conv1d, x, k, r1, h))
-
-    x = rng.standard_normal((6, 8, 1))
-    k = rng.standard_normal((5, 3, 4))
-    r2 = rng.standard_normal((6, 2, 5))
-    record("conv2d", _both_operands(conv2d, x, k, r2, h))
-
-    x = rng.standard_normal((5, 3))
-    k = rng.standard_normal((3, 4, 2))
-    r3 = rng.standard_normal((2 * 4 + 4, 2))
-    record("deconv1d", _both_operands(lambda a, b: deconv1d(a, b, 2), x, k, r3, h))
-
-    x = rng.standard_normal((4, 6)) + 0.5
-    r4 = rng.standard_normal((4, 6))
-    record("squash", grad_check(lambda t: _weighted_sum(squash(t, -1), r4), Tensor(x), h))
-
-    x = rng.standard_normal((2, 4, 6)) + 0.5
-    r4 = rng.standard_normal((2, 4, 6))
-    record("squash_batch2", grad_check(lambda t: _weighted_sum(squash(t, -1), r4), Tensor(x), h))
-
-    votes = rng.standard_normal((2, 3, 4, 5))
-    r6 = rng.standard_normal((2, 3, 5))
-    record("routing", grad_check(
-        lambda t: _weighted_sum(dynamic_routing(t, 3), r6), Tensor(votes), h))
-
-    votes = rng.standard_normal((2, 2, 3, 4, 5))
-    r6 = rng.standard_normal((2, 2, 3, 5))
-    record("routing_batch2", grad_check(
-        lambda t: _weighted_sum(dynamic_routing(t, 3), r6), Tensor(votes), h))
-
-    lengths = rng.uniform(0.15, 0.85, size=5)
-    record("margin_loss", grad_check(lambda t: margin_loss(t, 2, LossParams()), Tensor(lengths), h))
-
-    # the tiny config's second decoder dense layer at batch 2, (rows, 8) @ (8, 16),
-    # on inputs from a generator of its own; the shared stream still spends
-    # 230 draws at this slot, so the entries below keep their inputs
-    dense = np.random.default_rng(seed + 1)
-    h_in = dense.standard_normal((2, 8))
-    fc = dense.standard_normal((8, 16))
-    r7 = dense.standard_normal((2, 16))
-    record("matmul", _both_operands(T.matmul, h_in, fc, r7, h))
-    rng.standard_normal(230)
-
-    record("full_model", _full_model_check(cfg, seed, h))
-
-    # more blocks than (outer, parent) rows: routing takes its matmul form
-    votes = rng.standard_normal((1, 2, 12, 4))
-    r8 = rng.standard_normal((1, 2, 4))
-    record("routing_many_blocks", grad_check(
-        lambda t: _weighted_sum(dynamic_routing(t, 3), r8), Tensor(votes), h))
-
-    # the class stage's votes at batch 2: (B, N, a_s) capsules through
-    # (N, a_s, classes, a_sig) transforms
-    u = rng.standard_normal((2, 5, 3))
-    w = rng.standard_normal((5, 3, 2, 4))
-    r9 = rng.standard_normal((2, 2, 5, 4))
-    record("class_votes", _both_operands(class_votes, u, w, r9, h))
-
-    # capsule lengths of (B, C, a_sig) class capsules, away from the zero vector
-    caps = rng.standard_normal((2, 3, 4))
-    r10 = rng.standard_normal((2, 3))
-    record("capsule_length", grad_check(
-        lambda t: _weighted_sum(capsule_length(t, -1), r10), Tensor(caps), h))
+    results = [ComponentCheck(name, check_component(name, seed, h)) for name, _, _ in COMPONENTS]
+    results.append(ComponentCheck("full_model", _full_model_check(cfg, seed, h)))
     return results
 
 

@@ -283,12 +283,6 @@ def count_parameters(params: ModelParams) -> int:
     return sum(p.size for p in params.tensors().values())
 
 
-def _argmax_classes(lengths: Tensor):
-    """Index of the longest class capsule: an int, or one per batch row."""
-    pred = np.argmax(lengths.data, axis=-1)
-    return int(pred) if pred.ndim == 0 else pred
-
-
 @dataclass
 class Classification:
     """The classifier's part of a forward pass: class capsules, their lengths,
@@ -296,26 +290,23 @@ class Classification:
 
     class_capsules: Tensor
     class_lengths: Tensor
-    intermediates: dict[str, Tensor] = field(default_factory=dict)
+    intermediates: dict[str, Tensor] = field(default_factory=dict, kw_only=True)
 
     def predicted_class(self):
-        return _argmax_classes(self.class_lengths)
+        """Index of the longest class capsule: an int, or one per batch row."""
+        pred = np.argmax(self.class_lengths.data, axis=-1)
+        return int(pred) if pred.ndim == 0 else pred
 
 
 @dataclass
-class ForwardOutput:
-    """Everything one forward pass produces, plus inspectable intermediates.
+class ForwardOutput(Classification):
+    """Everything one forward pass produces: the classification plus the
+    decoder's reconstruction and the class that masked it.
 
     With a batch axis, ``mask_class`` holds one class index per row."""
 
-    class_capsules: Tensor
-    class_lengths: Tensor
     reconstruction: Tensor
     mask_class: int | np.ndarray
-    intermediates: dict[str, Tensor] = field(default_factory=dict)
-
-    def predicted_class(self):
-        return _argmax_classes(self.class_lengths)
 
 
 def front_conv(x: Tensor, params: ModelParams, cfg: ModelConfig) -> Tensor:
@@ -453,10 +444,5 @@ def model_forward(x: Tensor, params: ModelParams, cfg: ModelConfig,
     out = classify(x, params, cfg)
     chosen = out.predicted_class() if mask_class is None else mask_class
     reconstruction = decoder_forward(out.class_capsules, chosen, params, cfg)
-    return ForwardOutput(
-        class_capsules=out.class_capsules,
-        class_lengths=out.class_lengths,
-        reconstruction=reconstruction,
-        mask_class=chosen,
-        intermediates=out.intermediates,
-    )
+    return ForwardOutput(out.class_capsules, out.class_lengths, reconstruction, chosen,
+                         intermediates=out.intermediates)

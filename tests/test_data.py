@@ -58,12 +58,6 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError):
             load_csv(p)
 
-    def test_expected_length_enforced(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("0,1,2,3\n")
-        with pytest.raises(DataFormatError):
-            load_csv(p, expected_L=5)
-
     def test_large_row_count(self, tmp_path):
         p = tmp_path / "d.csv"
         rows = "\n".join(f"{i % 3},1.0,2.0,3.0,4.0" for i in range(4522))
@@ -113,7 +107,6 @@ class TestLoadCsv:
         ("x,1.0,2.0\n", {}, "row 1 has non-integer label 'x'"),
         ("0,1.0\n-1,2.0\n", {}, "row 2 has negative label -1"),
         ("0\n", {}, "row 1 has no samples"),
-        ("0,1,2,3\n", {"expected_L": 5}, "row 1 has 3 samples, expected 5"),
         ("\n\n", {}, "no data rows"),
         # rows are checked in file order: a non-finite sample is reported
         # before a fault later in its row or in a later row
@@ -285,6 +278,12 @@ class TestSynth:
     def test_minimum_length(self):
         with pytest.raises(ValueError):
             synth_waveforms(10, 4, 0.0, seed=0)
+
+    @pytest.mark.parametrize("noise", [-1.0, np.nan, np.inf])
+    def test_bad_noise_rejected(self, noise):
+        # negative control: a negative or nan noise_sigma used to mean no noise
+        with pytest.raises(ValueError, match="noise_sigma must be a finite number >= 0"):
+            synth_waveforms(2, 16, noise, seed=1)
 
     def test_classes_separable_by_difference_energy_features(self):
         """Sanity oracle: with no noise the three families separate with two

@@ -1,131 +1,60 @@
-"""Finite-difference checks for every differentiable operation (20 seeds
-each) and the Adam update rules against hand-evaluated values."""
+"""Finite-difference checks of every row of ``gradcheck.COMPONENTS`` (20
+seeds each), a guard that those rows cover every op a training step records,
+and the Adam update rules against hand-evaluated values."""
 
 import numpy as np
 import pytest
 
-from timecaps import tensor as T
-from timecaps.capsules import LossParams, capsule_length, dynamic_routing, margin_loss, mse_loss, squash
-from timecaps.conv import conv1d, conv2d, deconv1d
+from timecaps import gradcheck
 from timecaps.errors import ShapeError
-from timecaps.gradcheck import grad_check
+from timecaps.gradcheck import COMPONENTS, check_component, run_suite
+from timecaps.model import init_params, model_forward
 from timecaps.optim import AdamState, adam_step
 from timecaps.tensor import Tensor
+from timecaps.training import TrainConfig, total_loss
 
 TOL = 1e-4
-SEEDS = range(20)
+NAMES = [name for name, _, _ in COMPONENTS]
 
 
-def wsum(t, coeffs):
-    return T.sum_over(T.mul(t, Tensor(coeffs)))
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("name", NAMES)
+def test_component(name, seed):
+    assert check_component(name, seed) < TOL
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_elementwise_ops(seed):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((3, 4))
-    y = rng.standard_normal((3, 4))
-    r = rng.standard_normal((3, 4))
-    yt = Tensor(y)
-    for f in (
-        lambda t: wsum(T.add(t, yt), r),
-        lambda t: wsum(T.sub(t, yt), r),
-        lambda t: wsum(T.mul(t, yt), r),
-        lambda t: wsum(T.mul(t, 1.7), r),
-        lambda t: wsum(T.mul(t, Tensor([1.7])), r),
-    ):
-        assert grad_check(f, Tensor(x)) < TOL
+def backward_kinds(root: Tensor) -> set[str]:
+    """The ``__qualname__`` of every backward closure on the tape under ``root``."""
+    kinds, seen, stack = set(), set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node._backward is not None:
+                kinds.add(node._backward.__qualname__)
+            stack.extend(node._parents)
+    return kinds
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_relu_away_from_kink(seed):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((4, 4))
-    x = np.where(np.abs(x) < 0.05, 0.2, x)  # keep clear of the hinge
-    r = rng.standard_normal((4, 4))
-    assert grad_check(lambda t: wsum(T.relu(t), r), Tensor(x)) < TOL
+def test_rows_cover_every_op_of_a_training_step(tiny_cfg, rng):
+    labels = np.array([0, 1, 1])
+    x = Tensor(rng.standard_normal((len(labels), tiny_cfg.L)))
+    fwd = model_forward(x, init_params(tiny_cfg, seed=0), tiny_cfg, mask_class=labels)
+    recorded = backward_kinds(total_loss(fwd, x, labels, TrainConfig()))
+    covered = set()
+    for _, op, draw in COMPONENTS:
+        operands = [Tensor(a, requires_grad=True) for a in draw(rng)]
+        covered |= backward_kinds(op(*operands))
+    assert recorded - covered == set()
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_capsule_length_nonzero_inputs(seed):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((2, 3, 4))
-    r = rng.standard_normal((2, 3))
-    assert grad_check(lambda t: wsum(capsule_length(t, -1), r), Tensor(x)) < TOL
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_reductions_and_shape_ops(seed):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((3, 4, 2))
-    assert grad_check(lambda t: T.sum_over(T.mul(t, t)), Tensor(x)) < TOL
-    r = rng.standard_normal((3, 2))
-    assert grad_check(lambda t: wsum(T.sum_over(t, axes=(1,)), r), Tensor(x)) < TOL
-    r2 = rng.standard_normal((4, 6))
-    assert grad_check(lambda t: wsum(T.reshape(t, (4, 6)), r2), Tensor(x)) < TOL
-    r3 = rng.standard_normal((2, 3, 4))
-    assert grad_check(lambda t: wsum(T.permute(t, (2, 0, 1)), r3), Tensor(x)) < TOL
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_repeat_concat_softmax_contract(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((2, 3))
-    other = Tensor(rng.standard_normal((4, 3)))
-    rc = rng.standard_normal((6, 3))
-    assert grad_check(lambda t: wsum(T.concat([t, other], axis=0), rc), Tensor(a)) < TOL
-
-    # a decoder dense layer
-    h = rng.standard_normal((3, 6))
-    fc = rng.standard_normal((6, 2))
-    rf = rng.standard_normal((3, 2))
-    fct, ht = Tensor(fc), Tensor(h)
-    assert grad_check(lambda t: wsum(T.matmul(t, fct), rf), Tensor(h)) < TOL
-    assert grad_check(lambda t: wsum(T.matmul(ht, t), rf), Tensor(fc)) < TOL
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_conv_ops(seed):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((8, 2))
-    k = rng.standard_normal((3, 3, 2))
-    r = rng.standard_normal((8, 3))
-    kt, xt = Tensor(k), Tensor(x)
-    assert grad_check(lambda t: wsum(conv1d(t, kt), r), Tensor(x)) < TOL
-    assert grad_check(lambda t: wsum(conv1d(xt, t), r), Tensor(k)) < TOL
-
-    x2 = rng.standard_normal((4, 6, 1))
-    k2 = rng.standard_normal((2, 3, 3))
-    r2 = rng.standard_normal((4, 2, 2))
-    k2t, x2t = Tensor(k2), Tensor(x2)
-    assert grad_check(lambda t: wsum(conv2d(t, k2t), r2), Tensor(x2)) < TOL
-    assert grad_check(lambda t: wsum(conv2d(x2t, t), r2), Tensor(k2)) < TOL
-
-    xd = rng.standard_normal((3, 2))
-    kd = rng.standard_normal((2, 2, 3))
-    rd = rng.standard_normal((2 * 2 + 2, 3))
-    kdt, xdt = Tensor(kd), Tensor(xd)
-    assert grad_check(lambda t: wsum(deconv1d(t, kdt, 2), rd), Tensor(xd)) < TOL
-    assert grad_check(lambda t: wsum(deconv1d(xdt, t, 2), rd), Tensor(kd)) < TOL
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_capsule_ops(seed):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((3, 5)) + 0.3
-    r = rng.standard_normal((3, 5))
-    assert grad_check(lambda t: wsum(squash(t, -1), r), Tensor(x)) < TOL
-
-    votes = rng.standard_normal((2, 2, 3, 4))
-    rv = rng.standard_normal((2, 2, 4))
-    assert grad_check(lambda t: wsum(dynamic_routing(t, 3), rv), Tensor(votes)) < TOL
-
-    lengths = rng.uniform(0.15, 0.85, size=4)
-    assert grad_check(lambda t: margin_loss(t, 1, LossParams()), Tensor(lengths)) < TOL
-
-    a = rng.standard_normal(6)
-    target = Tensor(rng.standard_normal(6))
-    assert grad_check(lambda t: mse_loss(t, target), Tensor(a)) < TOL
+def test_row_inputs_do_not_depend_on_other_rows(monkeypatch):
+    # the full-model check draws from a generator of its own; skip its cost
+    monkeypatch.setattr(gradcheck, "_full_model_check", lambda cfg, seed, h: 0.0)
+    full = {r.name: r.max_rel_error for r in run_suite(seed=3)}
+    monkeypatch.setattr(gradcheck, "COMPONENTS", COMPONENTS[1:])
+    fewer = {r.name: r.max_rel_error for r in run_suite(seed=3)}
+    assert fewer == {name: err for name, err in full.items() if name != NAMES[0]}
 
 
 class TestAdam:
