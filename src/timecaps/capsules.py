@@ -31,13 +31,21 @@ on the (outer, parent) row count against the block count:
   couplings (1, block) @ votes (block, dim) for the weighted sum and votes
   (block, dim) @ output (dim, 1) for the agreement.
 
-The forward keeps each iteration's couplings, weighted sums and their
-squared norms, so the backward recomputes no softmax and no norm.  The vote
-gradient is written, one chunk of rows at a time, into a buffer with the
-votes' own strides (in the flat form by one contiguous einsum into the
-(block, dim, rows) buffer), so a caller that made the votes as a permuted
-view (both cells and the class stage do) reads their gradient through the
-same view, without a transposed copy.
+Every squared norm and dot product over a trailing capsule axis (squash,
+``capsule_length``, the matmul form's sums and couplings) is one einsum
+contraction (``_inner``); the flat form's reductions run over a leading axis
+and stay ``np.sum``.
+
+The forward keeps each iteration's couplings, weighted sums, their squared
+norms and their squash factors (``squash`` keeps its squared norms and
+factors too), so the backward recomputes no softmax, no norm and no squash
+factor.  The vote gradient is written, one chunk of rows at a time, into a
+buffer with the votes' own strides, so a caller that made the votes as a
+permuted view (both cells and the class stage do) reads their gradient
+through the same view, without a transposed copy.  In the flat form each
+chunk's einsum writes into one contiguous (block, dim, chunk) block, which is
+then copied into the chunk's strided slice of the (block, dim, rows) buffer;
+when one chunk covers every row, the einsum writes straight into the buffer.
 
 The class stage's votes come from ``class_votes``, which stores them
 example-major, (B, N, C, a_sig) in memory, and returns the (B, C, N, a_sig)
@@ -83,6 +91,21 @@ class RoutingState:
     weighted_sums: list[np.ndarray] = field(default_factory=list)
 
 
+def _inner(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+    """sum(a * b) along ``axis``, keepdims: squared norms and dot products of
+    capsule vectors.
+
+    Over the trailing axis it is one einsum contraction: ``np.sum`` would
+    reduce each capsule of 4 to 16 floats with its own inner-loop call.  Over
+    any other axis (the flat routing form's leading block or dim axis) it is
+    ``np.sum`` of the product, whose reduction numpy already runs along the
+    long trailing rows.
+    """
+    if axis % a.ndim == a.ndim - 1:
+        return np.einsum("...i,...i->...", a, b)[..., None]
+    return np.sum(a * b, axis=axis, keepdims=True)
+
+
 def _squash_factor(s2: np.ndarray) -> np.ndarray:
     """n^2/(1+n^2)/n from the squared norm, finite (zero) at the zero vector.
 
@@ -92,14 +115,11 @@ def _squash_factor(s2: np.ndarray) -> np.ndarray:
     return (s2 / (s2 + 1.0)) / np.sqrt(s2 + _NORM_EPS)
 
 
-def _squash(x: np.ndarray, axis: int) -> np.ndarray:
-    return x * _squash_factor(np.sum(x * x, axis=axis, keepdims=True))
-
-
-def _squash_backward(x: np.ndarray, g: np.ndarray, axis: int,
-                     s2: np.ndarray | None = None) -> np.ndarray:
+def _squash_backward(x: np.ndarray, g: np.ndarray, axis: int, s2: np.ndarray, f: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Vector-Jacobian product of squash at ``x`` for the output gradient ``g``,
-    given the squared norms ``s2`` (keepdims) if the caller has them.
+    given the forward's squared norms ``s2`` and squash factors ``f``
+    (keepdims); written into ``out`` if given.
 
     With s = |x|^2, r = sqrt(s + eps) and f = s / ((1 + s) r), squash(x) = f x,
     so the adjoint is f g + 2 f'(s) <g, x> x, where
@@ -108,25 +128,31 @@ def _squash_backward(x: np.ndarray, g: np.ndarray, axis: int,
     (x/r), whose factors stay finite for every finite s, where s^2 and r^3
     alone overflow once |x| passes about 1e77.
     """
-    if s2 is None:
-        s2 = np.sum(x * x, axis=axis, keepdims=True)
     r = np.sqrt(s2 + _NORM_EPS)
     q = 1.0 / (s2 + 1.0)
     coef = ((s2 * q) * ((1.0 - s2) * q) + 2.0 * _NORM_EPS * q * q) / r
-    dot = np.sum(g * x, axis=axis, keepdims=True)
-    return _squash_factor(s2) * g + (coef * (dot / r)) * (x / r)
+    out = np.multiply(f, g, out=out)
+    xr = x / r
+    xr *= coef * (_inner(g, x, axis) / r)
+    out += xr
+    return out
 
 
 def squash(t: Tensor, axis: int = -1) -> Tensor:
     """Shrink each vector along ``axis`` to norm n^2/(1+n^2), keeping direction.
 
     The zero vector maps to zero; every output norm is strictly below 1.  One
-    tape node with a closed-form backward.
+    tape node with a closed-form backward, which reuses the forward's squared
+    norms and squash factors.
     """
-    def backward(gout):
-        _accumulate(t, _squash_backward(t.data, np.asarray(gout), axis), owned=True)
+    x = t.data
+    s2 = _inner(x, x, axis)
+    f = _squash_factor(s2)
 
-    return make_op(_squash(t.data, axis), (t,), backward)
+    def backward(gout):
+        _accumulate(t, _squash_backward(x, np.asarray(gout), axis, s2, f), owned=True)
+
+    return make_op(x * f, (t,), backward)
 
 
 def _capsule_major(votes: np.ndarray) -> np.ndarray:
@@ -182,14 +208,14 @@ def capsule_length(t: Tensor, axis: int = -1) -> Tensor:
     vector (a flat input row's capsules), where the norm has no derivative.
     """
     x = t.data
-    n = np.sqrt(np.sum(x * x, axis=axis))
+    n = np.sqrt(_inner(x, x, axis))
 
     def backward(gout):
-        h = np.divide(gout, 2.0 * n, out=np.zeros_like(n), where=n > 0)
-        hx = np.expand_dims(h, axis) * x
+        h = np.divide(np.expand_dims(gout, axis), 2.0 * n, out=np.zeros_like(n), where=n > 0)
+        hx = h * x
         _accumulate(t, hx + hx, owned=True)
 
-    return make_op(n, (t,), backward)
+    return make_op(n.squeeze(axis), (t,), backward)
 
 
 # Floats of temporaries per chunk of outer rows in the routing backward (1 MiB).
@@ -245,9 +271,9 @@ def _agreement(v: np.ndarray, y: np.ndarray, flat: bool) -> np.ndarray:
 class _Routed:
     """What one routing forward keeps: the votes in the form's layout (in the
     flat form, ``copied`` says whether that is a copy of the caller's votes)
-    and per iteration k the couplings c_k, weighted sums w_k and their
-    squared norms (block or dim axis leading in the flat form, trailing in
-    the matmul form); logits only when traced."""
+    and per iteration k the couplings c_k, weighted sums w_k, their squared
+    norms and their squash factors (block or dim axis leading in the flat
+    form, trailing in the matmul form); logits only when traced."""
 
     flat: bool
     votes: np.ndarray
@@ -255,6 +281,7 @@ class _Routed:
     couplings: list[np.ndarray] = field(default_factory=list)
     sums: list[np.ndarray] = field(default_factory=list)
     norms: list[np.ndarray] = field(default_factory=list)
+    factors: list[np.ndarray] = field(default_factory=list)
     logits: list[np.ndarray] = field(default_factory=list)
 
 
@@ -271,11 +298,13 @@ def _route(votes: np.ndarray, iterations: int, keep_logits: bool = False):
     rec = _Routed(flat, v, copied)
     for it in range(iterations):
         w = _weighted(c, v, flat)
-        s2 = np.sum(w * w, axis=ax, keepdims=True)
-        y = w * _squash_factor(s2)
+        s2 = _inner(w, w, ax)
+        f = _squash_factor(s2)
+        y = w * f
         rec.couplings.append(c)
         rec.sums.append(w)
         rec.norms.append(s2)
+        rec.factors.append(f)
         if keep_logits:
             rec.logits.append(b)
         if it + 1 < iterations:
@@ -293,11 +322,12 @@ def _route_backward(votes: np.ndarray, rec: _Routed, gout: np.ndarray) -> np.nda
     squash(w_k) and b_{k+1} = b_k + <y_k, v>.  Walking back from the output,
     the logit gradient gb flows unchanged through the additive updates, and
     dv = sum_k c_k (x) dw_k + gb_{k+1} (x) y_k.  The 2K-1 outer products are
-    stacked and contracted once per chunk of rows, straight into a gradient
-    buffer with the memory layout of ``votes``: in the flat form one
-    contiguous einsum into the (s, n, rows) buffer, in the matmul form one
-    batched matmul.  The logits b_0 are a constant, so no gradient is formed
-    for them.
+    stacked and contracted once per chunk of rows into a gradient buffer with
+    the memory layout of ``votes``: in the flat form one einsum into a
+    contiguous block, copied into the (s, n, rows) buffer (or written
+    straight into it when one chunk covers every row), in the matmul form one
+    batched matmul.  The squash factors y_k / w_k come from the forward.  The
+    logits b_0 are a constant, so no gradient is formed for them.
     """
     p_n, r_n, s_n, n_n = votes.shape
     flat, ax = rec.flat, (0 if rec.flat else -1)
@@ -313,6 +343,8 @@ def _route_backward(votes: np.ndarray, rec: _Routed, gout: np.ndarray) -> np.nda
         total, per_row = p_n, per_row * r_n
         grad = np.empty_like(votes, order="K")
     rows = max(1, _ROUTING_CHUNK // per_row)
+    # the flat form's contiguous chunk block; none when one chunk covers every row
+    block = np.empty(s_n * n_n * rows) if flat and rows < total else None
     for lo in range(0, total, rows):
         sl = slice(lo, lo + rows)
         if flat:
@@ -325,24 +357,29 @@ def _route_backward(votes: np.ndarray, rec: _Routed, gout: np.ndarray) -> np.nda
         right = np.empty((terms,) + pick(rec.sums[0]).shape)
         t, gb = 0, None  # gb: gradient of the logits entering the current iteration
         for k in reversed(range(len(rec.couplings))):
-            c, w, s2 = pick(rec.couplings[k]), pick(rec.sums[k]), pick(rec.norms[k])
+            c, w = pick(rec.couplings[k]), pick(rec.sums[k])
+            s2, f = pick(rec.norms[k]), pick(rec.factors[k])
             if gb is not None:  # b_{k+1} = b_k + <y_k, v>
                 gy = _weighted(gb, v, flat)
                 left[t] = gb
-                np.multiply(w, _squash_factor(s2), out=right[t])
+                np.multiply(w, f, out=right[t])
                 t += 1
-            right[t] = _squash_backward(w, gy, ax, s2)
+            _squash_backward(w, gy, ax, s2, f, right[t])
             left[t] = c
             if k:
                 gc = _agreement(v, right[t], flat)
-                gc -= np.sum(gc * c, axis=ax, keepdims=True)
+                gc -= _inner(gc, c, ax)
                 gc *= c
                 gb = gc if gb is None else gb + gc
             t += 1
-        if flat:
-            np.einsum("tsm,tnm->snm", left, right, out=grad[:, :, sl])
-        else:
+        if not flat:
             np.matmul(np.moveaxis(left, 0, -1), np.moveaxis(right, 0, -2), out=grad[sl])
+        elif block is None:
+            np.einsum("tsm,tnm->snm", left, right, out=grad)
+        else:
+            dst = block[: s_n * n_n * v.shape[2]].reshape(s_n, n_n, v.shape[2])
+            np.einsum("tsm,tnm->snm", left, right, out=dst)
+            grad[:, :, sl] = dst
     if not flat:
         return grad
     grad = grad.reshape(s_n, n_n, r_n, p_n).transpose(3, 2, 0, 1)

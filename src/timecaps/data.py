@@ -114,20 +114,30 @@ def normalize(dataset: Dataset, mode: str = "zscore") -> tuple[Dataset, list[tup
     zscore stats are (mean, std); minmax stats are (min, max).  Degenerate
     signals (zero spread) are mapped to all zeros.  The signals are taken as
     the rows of one (N, L) array; numpy reduces each contiguous row as it
-    would the signal alone, so every value equals the per-signal result.
+    would the signal alone.  Each row is first scaled by the power of two
+    that brings its largest magnitude into [0.5, 1), so rows up to the
+    float64 limit (±1.7e308) normalize without overflow; the scaling is
+    exact, so every other value and stat equals the per-signal result.  A
+    row is flat when its unscaled spread is below 1e-12.
     """
     if mode not in ("zscore", "minmax"):
         raise ValueError(f"mode must be 'zscore' or 'minmax', got {mode!r}")
     x = np.array([sig.samples for sig in dataset.signals], dtype=np.float64).reshape(len(dataset), dataset.L)
+    exp = np.frexp(np.abs(x).max(axis=1))[1]
+    x = np.ldexp(x, -exp[:, None])
     if mode == "zscore":
         first, second = x.mean(axis=1), x.std(axis=1)
-        flat = second < 1e-12
-        y = (x - first[:, None]) / np.where(flat, 1.0, second)[:, None]
+        spread = second
     else:
         first, second = x.min(axis=1), x.max(axis=1)
-        flat = second - first < 1e-12
-        y = 2.0 * (x - first[:, None]) / np.where(flat, 1.0, second - first)[:, None] - 1.0
+        spread = second - first
+    with np.errstate(over="ignore"):  # a spread past the float64 limit is inf: not flat
+        flat = np.ldexp(spread, exp) < 1e-12
+    y = (x - first[:, None]) / np.where(flat, 1.0, spread)[:, None]
+    if mode == "minmax":
+        y = 2.0 * y - 1.0
     y[flat] = 0.0
+    first, second = np.ldexp(first, exp), np.ldexp(second, exp)
     out = [LabeledSignal(samples=row, label=sig.label) for row, sig in zip(y, dataset.signals)]
     stats = list(zip(first.tolist(), second.tolist()))
     return Dataset(out, dataset.L, dataset.num_classes), stats

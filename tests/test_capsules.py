@@ -16,6 +16,7 @@ from timecaps import tensor as T
 from timecaps.capsules import (
     _NORM_EPS,
     _flat_form,
+    _inner,
     _route,
     capsule_length,
     class_votes,
@@ -151,6 +152,25 @@ class TestSquash:
         assert np.all(np.isfinite(xt.grad))
         assert np.max(np.abs(out.data - want_out)) <= 1e-13 * np.max(np.abs(want_out))
         assert np.max(np.abs(xt.grad - want_grad)) <= 1e-13 * np.max(np.abs(want_grad))
+
+
+@pytest.mark.parametrize("axis", [0, -1], ids=["leading", "trailing"])
+@pytest.mark.parametrize("length", [1, 2, 4, 8, 16])
+def test_inner_matches_sum_of_products(rng, axis, length):
+    # squared norms and dot products over capsules of every length the
+    # configs use, along the leading axis (the flat routing form) and the
+    # trailing one (einsum), zero vectors included
+    shape = (length, 5, 37) if axis == 0 else (5, 37, length)
+    a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+    np.moveaxis(a, axis, 0)[:, :, :3] = 0.0
+    for x, y in ((a, b), (a, a), (b, b)):
+        got = _inner(x, y, axis)
+        want = np.sum(x * y, axis=axis, keepdims=True)
+        assert got.shape == want.shape
+        scale = np.sum(np.abs(x * y), axis=axis, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
+    assert np.all(np.moveaxis(_inner(a, b, axis), axis, 0)[:, :, :3] == 0.0)
+
 
 class TestCapsuleLength:
     def test_three_four_five(self):
@@ -369,6 +389,27 @@ class TestRoutingAtModelSites:
         (gout, g), = read[1:]  # read[0] is the forward's output view
         assert np.shares_memory(gout, written[0]) and np.shares_memory(g, written[0])
         assert omega.grad is not None and params["class_weights"].grad is not None
+
+    @pytest.mark.parametrize("cfg,site", [(ModelConfig.toy(), "cell_a"), (BEAT_CFG, "cell_b")],
+                             ids=["toy-cell_a", "beat-cell_b"])
+    def test_vote_gradient_does_not_depend_on_the_chunking(self, rng, monkeypatch, cfg, site):
+        # the flat form contracts each chunk of rows into a contiguous block
+        # and copies it into the gradient, or writes straight into the
+        # gradient when one chunk covers every row: both give the same bits
+        votes = site_votes(cfg, site, 16, rng)
+        coeffs = rng.standard_normal(votes.shape[:-2] + votes.shape[-1:])
+        p_n, r_n, s_n, n_n = votes.reshape((-1,) + votes.shape[-3:]).shape
+        per_row = (2 * 3 - 1 + 3) * (s_n + n_n)  # _route_backward's budget per row
+        real, calls, grads = capsules._squash_backward, [], []
+        monkeypatch.setattr(capsules, "_squash_backward", lambda *a: calls.append(1) or real(*a))
+        for chunks in (1, 2, 5):
+            monkeypatch.setattr(capsules, "_ROUTING_CHUNK", per_row * -(-p_n * r_n // chunks))
+            calls.clear()
+            leaf = Tensor(votes, requires_grad=True)
+            weighted_routing(leaf, coeffs).backward()
+            assert len(calls) == 3 * chunks  # one per iteration and chunk
+            grads.append(leaf.grad)
+        assert grads[0].tobytes() == grads[1].tobytes() == grads[2].tobytes()
 
     def test_backward_memory_is_chunked(self, rng):
         # traced peak of one routing forward and backward at the beat cell-A

@@ -164,6 +164,27 @@ class TestTrainCommand:
                   if isinstance(value, float)]
         assert len(losses) >= 2 and np.all(np.isfinite(losses))
 
+    @pytest.mark.parametrize("mode", ["zscore", "minmax"])
+    def test_row_at_the_float64_limit_trains(self, tmp_path, synth_csv, mode):
+        # negative control: a row alternating +-1.7e308 overflowed the mean,
+        # std or spread in normalize to inf, the row became NaN, and the run
+        # stopped with "non-finite loss nan at epoch 1, batch <k>" and exit
+        # 2, naming no row
+        rows = synth_csv.read_text().splitlines()
+        rows[5] = rows[5].split(",")[0] + "," + ",".join(["1.7e308", "-1.7e308"] * 16)
+        synth_csv.write_text("\n".join(rows) + "\n")
+        out_dir = tmp_path / "run_limit"
+        cfg_path = smoke_config(tmp_path, synth_csv, out_dir)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["normalize"] = mode
+        cfg["test_fraction"] = 0.05
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        losses = [value for epoch in report["epochs"] for value in epoch.values()
+                  if isinstance(value, float)]
+        assert losses and np.all(np.isfinite(losses))
+
     def test_zero_epochs_names_only_written_files(self, tmp_path, synth_csv, capsys):
         # negative control: the closing line named a confusion.csv that no
         # epoch had evaluated and nothing wrote

@@ -1,6 +1,8 @@
 """CSV round trips, normalization, stratified splitting, and the synthetic
 waveform generator (including the separability sanity oracle)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -181,8 +183,11 @@ class TestNormalize:
     @pytest.mark.parametrize("mode", ["zscore", "minmax"])
     @pytest.mark.parametrize("length", [1, 7, 9, 129, 360])
     def test_matches_per_signal_reference_bitwise(self, rng, mode, length):
-        sigs = [LabeledSignal(rng.standard_normal(length) * 10.0 ** float(rng.integers(-6, 6))
-                              + float(rng.integers(-50, 50)), c % 3) for c in range(12)]
+        # magnitudes from e^-30 to e^30: normalize's exact power-of-two
+        # scaling leaves every value and stat as the unscaled formula gives it
+        sigs = [LabeledSignal(np.exp(rng.uniform(-30.0, 30.0))
+                              * (rng.standard_normal(length) + float(rng.integers(-50, 50))), c % 3)
+                for c in range(400)]
         sigs.append(LabeledSignal(np.full(length, 3.7), 1))  # a constant signal
         for ds in (Dataset(sigs, length, 3), Dataset(sigs[:1], length, 3)):
             out, stats = normalize(ds, mode)
@@ -190,6 +195,19 @@ class TestNormalize:
             assert stats == want_stats
             assert [s.samples.tobytes() for s in out.signals] == [y.tobytes() for y in want]
             assert [s.label for s in out.signals] == [s.label for s in ds.signals]
+
+    @pytest.mark.parametrize("mode", ["zscore", "minmax"])
+    def test_rows_at_the_float64_limit_stay_finite(self, mode):
+        # negative control: the mean, std or spread of these rows overflowed,
+        # and they came back as NaN with a RuntimeWarning
+        limit = np.array([1.7e308, -1.7e308] * 4)
+        ds = Dataset([LabeledSignal(limit, 0), LabeledSignal(np.full(8, 1.7e308), 0)], 8, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, stats = normalize(ds, mode)
+        assert np.array_equal(out.signals[0].samples, np.sign(limit))
+        assert np.array_equal(out.signals[1].samples, np.zeros(8))  # flat
+        assert stats[0] == ((0.0, 1.7e308) if mode == "zscore" else (-1.7e308, 1.7e308))
 
     def test_bad_mode(self):
         ds = Dataset([LabeledSignal(np.zeros(4), 0)], 4, 1)

@@ -5,7 +5,7 @@ and the Adam update rules against hand-evaluated values."""
 import numpy as np
 import pytest
 
-from timecaps import gradcheck
+from timecaps import gradcheck, optim
 from timecaps.errors import ShapeError
 from timecaps.gradcheck import COMPONENTS, check_component, run_suite
 from timecaps.model import init_params, model_forward
@@ -93,6 +93,28 @@ class TestAdam:
         state = AdamState.for_params(p)
         with pytest.raises(ShapeError):
             adam_step(p, {"w": np.zeros(4)}, state)
+
+    def test_blocked_step_is_the_textbook_update_bit_for_bit(self, rng):
+        # 3 blocks plus a partial one of 17 floats, and a one-float tensor
+        size = 3 * optim._ADAM_BLOCK + 17
+        p = {"w": Tensor(rng.standard_normal((size,)), requires_grad=True),
+             "a": Tensor(np.array([0.3]), requires_grad=True)}
+        state = AdamState.for_params(p, lr=0.01)
+        want = {name: t.data.copy() for name, t in p.items()}
+        m = {name: np.zeros(t.shape) for name, t in p.items()}
+        v = {name: np.zeros(t.shape) for name, t in p.items()}
+        for t in range(1, 31):
+            grads = {name: rng.standard_normal(x.shape) for name, x in want.items()}
+            p, state = adam_step(p, grads, state)
+            c1, c2 = 1.0 - optim.BETA1 ** t, 1.0 - optim.BETA2 ** t
+            for name, g in grads.items():
+                m[name] = optim.BETA1 * m[name] + (1.0 - optim.BETA1) * g
+                v[name] = optim.BETA2 * v[name] + (1.0 - optim.BETA2) * (g * g)
+                want[name] = want[name] - 0.01 * (m[name] / c1) / (np.sqrt(v[name] / c2) + optim.EPSILON)
+            for name, x in want.items():
+                assert p[name].data.tobytes() == x.tobytes(), (name, t)
+                assert state.first_moment[name].tobytes() == m[name].tobytes(), (name, t)
+                assert state.second_moment[name].tobytes() == v[name].tobytes(), (name, t)
 
     def test_moments_zero_initialized(self):
         p = {"w": Tensor(np.ones((2, 2)), requires_grad=True)}
