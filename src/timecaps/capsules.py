@@ -206,9 +206,18 @@ def capsule_length(t: Tensor, axis: int = -1) -> Tensor:
     One tape node.  Its backward is g x / n, evaluated as h x + h x with
     h = g / (2 n) as the chain sqrt(sum(x * x)) would, and zero at the zero
     vector (a flat input row's capsules), where the norm has no derivative.
+    A capsule whose squared norm overflows (entries of order 1e154 and up) is
+    measured again scaled by its largest magnitude, so its norm stays finite
+    wherever the exact norm is; every other capsule keeps the plain result.
     """
     x = t.data
     n = np.sqrt(_inner(x, x, axis))
+    if np.isinf(n).any():
+        top = np.max(np.abs(x), axis=axis, keepdims=True)
+        over = np.isinf(n) & np.isfinite(top)
+        top = np.where(over, top, 1.0)
+        scaled = x / top
+        n = np.where(over, top * np.sqrt(_inner(scaled, scaled, axis)), n)
 
     def backward(gout):
         h = np.divide(np.expand_dims(gout, axis), 2.0 * n, out=np.zeros_like(n), where=n > 0)

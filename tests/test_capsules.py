@@ -191,6 +191,20 @@ class TestCapsuleLength:
         for i, w in ((0, 0.5), (2, -1.0)):
             assert np.allclose(xt.grad[i], w * x[i] / np.linalg.norm(x[i]), rtol=1e-14)
 
+    def test_norm_at_the_float64_limit(self, rng):
+        # negative control: the squared norm of sixteen entries of +-1e300
+        # overflows, and the plain sqrt(sum(x * x)) returned inf for 4e300
+        x = rng.standard_normal((3, 16))
+        x[1] = np.where(np.arange(16) % 2 == 0, 1e300, -1e300)
+        xt = Tensor(x, requires_grad=True)
+        n = capsule_length(xt, -1)
+        assert n.data[1] == 4e300
+        assert np.array_equal(n.data[[0, 2]], capsule_length(Tensor(x[[0, 2]]), -1).data)
+        T.sum_over(T.mul(n, Tensor(np.array([0.5, 2.0, -1.0])))).backward()
+        assert np.all(np.isfinite(xt.grad))
+        for i, w in enumerate((0.5, 2.0, -1.0)):
+            assert np.allclose(xt.grad[i], w * (x[i] / n.data[i]), rtol=1e-14)
+
     def test_composition_with_squash(self, rng):
         v = rng.standard_normal((20, 8))
         lengths = capsule_length(squash(Tensor(v), -1), -1).data

@@ -3,10 +3,15 @@ checkpoint round trips."""
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from timecaps import training
 from timecaps.data import Dataset, LabeledSignal
 from timecaps.errors import CheckpointError, ConfigError, TrainingError
 from timecaps.model import classify, init_params, model_forward
@@ -260,6 +265,71 @@ class TestTrainLoop:
             after = total_loss(fwd2, x, 0, tcfg).item()
             decreases += int(after < base)
         assert decreases >= 0.95 * trials
+
+
+# The toy config on 33 synthetic rows; ``toy_run(epochs)`` returns the
+# trained parameters.  The same code runs in child processes and in this one.
+TOY_RUN = """
+from timecaps.data import synth_waveforms
+from timecaps.model import ModelConfig, init_params
+from timecaps.training import TrainConfig, save_checkpoint, train
+
+cfg = ModelConfig.toy()
+rows = synth_waveforms(11, cfg.L, 0.1, seed=3)
+
+
+def toy_run(epochs):
+    return train(init_params(cfg, seed=0), rows, rows, TrainConfig(epochs=epochs, seed=0))[0]
+"""
+
+COUNT_FAULTS = """
+import resource
+
+faults = []
+for _ in range(6):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    toy_run(1)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults)
+"""
+
+
+def run_child(code, **env):
+    """Run ``code`` in a fresh ``python -c`` that imports this checkout's
+    package, with ``env`` added to the environment; returns its stdout."""
+    src = str(Path(training.__file__).resolve().parents[1])
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestFreshProcess:
+    def test_later_train_calls_take_few_page_faults(self):
+        # negative control: glibc handed each batch's freed tape back to the
+        # kernel and faulted it in again in the next, 770-950 minor faults
+        # per call here.  A fresh process, because earlier tests in this
+        # one can raise glibc's dynamic thresholds.  The heap can still grow
+        # by a megabyte (about 250 faults) in one of the first calls while
+        # its layout settles, so the median of the calls after the first is
+        # checked.
+        pytest.importorskip("resource")
+        if not training._keep_freed_memory():
+            pytest.skip("mallopt did not apply (not glibc)")
+        faults = json.loads(run_child(TOY_RUN + COUNT_FAULTS))
+        assert np.median(faults[1:]) <= 100, faults
+
+    def test_checkpoint_bytes_equal_across_processes_and_blas_threads(self, tmp_path):
+        # the same seeded run in this process and in two children, BLAS on
+        # one and on two threads, writes the same bytes
+        paths = {name: tmp_path / f"{name}.ckpt" for name in ("here", "1", "2")}
+        save = "\nsave_checkpoint(toy_run(2), {!r})\n"
+        exec(TOY_RUN + save.format(str(paths["here"])), {})
+        for threads in ("1", "2"):
+            run_child(TOY_RUN + save.format(str(paths[threads])), OPENBLAS_NUM_THREADS=threads)
+        assert paths["1"].read_bytes() == paths["2"].read_bytes() == paths["here"].read_bytes()
 
 
 class TestCheckpoint:
