@@ -12,8 +12,9 @@ criterion 3 (``test_criterion_03_routing_normalization``) checks it.
 
 Squash and routing are fused: each is one tape node with a hand-written
 backward (for routing, the adjoint of the update rules of Sabour et al. 2017,
-"Dynamic Routing Between Capsules").  Every function here accepts an
-optional leading batch axis.
+"Dynamic Routing Between Capsules").  One squash step (``_squashed``) serves
+``squash`` and every routing iteration, and one (``_squash_backward``) their
+backwards.  Every function here accepts an optional leading batch axis.
 
 Routing runs in one of two forms, picked by one shape rule (``_flat_form``)
 on the (outer, parent) row count against the block count:
@@ -39,13 +40,16 @@ and stay ``np.sum``.
 The forward keeps each iteration's couplings, weighted sums, their squared
 norms and their squash factors (``squash`` keeps its squared norms and
 factors too), so the backward recomputes no softmax, no norm and no squash
-factor.  The vote gradient is written, one chunk of rows at a time, into a
-buffer with the votes' own strides, so a caller that made the votes as a
-permuted view (both cells and the class stage do) reads their gradient
-through the same view, without a transposed copy.  In the flat form each
-chunk's einsum writes into one contiguous (block, dim, chunk) block, which is
-then copied into the chunk's strided slice of the (block, dim, rows) buffer;
-when one chunk covers every row, the einsum writes straight into the buffer.
+factor.  The same record is the routing trace: ``dynamic_routing_trace``
+runs the one routing forward and rebuilds the logits from the record, so
+tracing adds no branch to routing.  The vote gradient is written, one chunk
+of rows at a time, into a buffer with the votes' own strides, so a caller
+that made the votes as a permuted view (both cells and the class stage do)
+reads their gradient through the same view, without a transposed copy.  In
+the flat form each chunk's einsum writes into one contiguous (block, dim,
+chunk) block, which is then copied into the chunk's strided slice of the
+(block, dim, rows) buffer; when one chunk covers every row, the einsum
+writes straight into the buffer.
 
 The class stage's votes come from ``class_votes``, which stores them
 example-major, (B, N, C, a_sig) in memory, and returns the (B, C, N, a_sig)
@@ -106,13 +110,17 @@ def _inner(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
     return np.sum(a * b, axis=axis, keepdims=True)
 
 
-def _squash_factor(s2: np.ndarray) -> np.ndarray:
-    """n^2/(1+n^2)/n from the squared norm, finite (zero) at the zero vector.
+def _squashed(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Squash along ``axis``: the output f x, the squared norms s2 and the
+    squash factors f = n^2/(1+n^2)/n (keepdims), which the backward reuses.
 
-    Dividing in this order keeps every intermediate at most 1 before the
-    division by n, so the factor is accurate for any finite s2.
+    The factor is finite (zero) at the zero vector.  Dividing in this order
+    keeps every intermediate at most 1 before the division by n, so the
+    factor is accurate for any finite s2.
     """
-    return (s2 / (s2 + 1.0)) / np.sqrt(s2 + _NORM_EPS)
+    s2 = _inner(x, x, axis)
+    f = (s2 / (s2 + 1.0)) / np.sqrt(s2 + _NORM_EPS)
+    return x * f, s2, f
 
 
 def _squash_backward(x: np.ndarray, g: np.ndarray, axis: int, s2: np.ndarray, f: np.ndarray,
@@ -146,13 +154,12 @@ def squash(t: Tensor, axis: int = -1) -> Tensor:
     norms and squash factors.
     """
     x = t.data
-    s2 = _inner(x, x, axis)
-    f = _squash_factor(s2)
+    y, s2, f = _squashed(x, axis)
 
     def backward(gout):
         _accumulate(t, _squash_backward(x, np.asarray(gout), axis, s2, f), owned=True)
 
-    return make_op(x * f, (t,), backward)
+    return make_op(y, (t,), backward)
 
 
 def _capsule_major(votes: np.ndarray) -> np.ndarray:
@@ -282,7 +289,7 @@ class _Routed:
     flat form, ``copied`` says whether that is a copy of the caller's votes)
     and per iteration k the couplings c_k, weighted sums w_k, their squared
     norms and their squash factors (block or dim axis leading in the flat
-    form, trailing in the matmul form); logits only when traced."""
+    form, trailing in the matmul form); the trace rebuilds the logits."""
 
     flat: bool
     votes: np.ndarray
@@ -291,10 +298,9 @@ class _Routed:
     sums: list[np.ndarray] = field(default_factory=list)
     norms: list[np.ndarray] = field(default_factory=list)
     factors: list[np.ndarray] = field(default_factory=list)
-    logits: list[np.ndarray] = field(default_factory=list)
 
 
-def _route(votes: np.ndarray, iterations: int, keep_logits: bool = False):
+def _route(votes: np.ndarray, iterations: int):
     """Routing forward on (P, r, s, n) votes: the squashed (P, r, n) output
     (in the flat form a view of (n, r*P) storage) and the per-iteration
     record."""
@@ -303,19 +309,15 @@ def _route(votes: np.ndarray, iterations: int, keep_logits: bool = False):
     ax = 0 if flat else -1  # the block axis of couplings, the dim axis of sums
     v, copied = _flat_votes(votes) if flat else (votes, False)
     c = np.full((s_n, p_n * r_n) if flat else (p_n, r_n, s_n), 1.0 / s_n)  # softmax of zero logits
-    b = np.zeros_like(c) if keep_logits else None
+    b = None
     rec = _Routed(flat, v, copied)
     for it in range(iterations):
         w = _weighted(c, v, flat)
-        s2 = _inner(w, w, ax)
-        f = _squash_factor(s2)
-        y = w * f
+        y, s2, f = _squashed(w, ax)
         rec.couplings.append(c)
         rec.sums.append(w)
         rec.norms.append(s2)
         rec.factors.append(f)
-        if keep_logits:
-            rec.logits.append(b)
         if it + 1 < iterations:
             a = _agreement(v, y, flat)
             b = a if b is None else b + a
@@ -399,7 +401,7 @@ def _route_backward(votes: np.ndarray, rec: _Routed, gout: np.ndarray) -> np.nda
     return out
 
 
-def _routing_node(votes: Tensor, iterations: int, keep_logits: bool = False):
+def _routing_node(votes: Tensor, iterations: int):
     """Validate, route, and record one tape node; also returns the forward's
     record."""
     if iterations < 1:
@@ -410,7 +412,7 @@ def _routing_node(votes: Tensor, iterations: int, keep_logits: bool = False):
             f"got {votes.shape}")
     lead = votes.shape[:-3]
     v = votes.data.reshape((-1,) + votes.shape[-3:])
-    squashed, rec = _route(v, iterations, keep_logits)
+    squashed, rec = _route(v, iterations)
 
     def backward(gout):
         g = np.asarray(gout).reshape(squashed.shape)
@@ -434,12 +436,17 @@ def dynamic_routing(votes: Tensor, iterations: int) -> Tensor:
 
 def dynamic_routing_trace(votes: Tensor, iterations: int) -> tuple[Tensor, RoutingState]:
     """dynamic_routing plus the per-iteration logits/couplings/sums, each laid
-    out as (..., outer, parent, block or dim)."""
-    out, rec = _routing_node(votes, iterations, keep_logits=True)
+    out as (..., outer, parent, block or dim).  The logits are rebuilt from
+    the forward's record: b_0 = 0 and b_{k+1} = b_k + <y_k, v>, with y_k the
+    squashed sum w_k f_k."""
+    out, rec = _routing_node(votes, iterations)
+    logits = [np.zeros_like(rec.couplings[0])]
+    for w, f in zip(rec.sums[:-1], rec.factors):
+        logits.append(logits[-1] + _agreement(rec.votes, w * f, rec.flat))
     rows, r_n = votes.shape[:-2], votes.shape[-3]
     unflat = lambda a: (a.reshape(len(a), r_n, -1).transpose(2, 1, 0) if rec.flat else a
                         ).reshape(rows + (-1,)).copy()
-    state = RoutingState(logits=[unflat(a) for a in rec.logits],
+    state = RoutingState(logits=[unflat(a) for a in logits],
                          couplings=[unflat(a) for a in rec.couplings],
                          weighted_sums=[unflat(a) for a in rec.sums])
     return out, state
@@ -484,19 +491,25 @@ def routing_oracle(votes: np.ndarray, iterations: int) -> np.ndarray:
     return out
 
 
+def _one_hot(classes, name: str, rows: tuple[int, ...], num_classes: int) -> np.ndarray:
+    """The rows + (num_classes,) one-hot encoding of the class indices
+    ``classes``, the argument ``name``: ShapeError unless they have the shape
+    ``rows``, ValueError unless each lies in [0, num_classes)."""
+    labels = np.asarray(classes)
+    if labels.shape != rows:
+        raise ShapeError(f"{name} of shape {labels.shape}, expected {rows}: one class index per row")
+    if np.any(labels < 0) or np.any(labels >= num_classes):
+        raise ValueError(f"{name} {classes} out of range for {num_classes} classes")
+    return np.eye(num_classes)[labels]
+
+
 def margin_loss(lengths: Tensor, true_class, params: LossParams = LossParams()) -> Tensor:
     """Two-sided hinge-squared loss over per-class capsule lengths.
 
     ``lengths`` (C,) with an int class gives a scalar; (B, C) with B class
     indices gives the (B,) per-example losses.
     """
-    num_classes = lengths.shape[-1]
-    labels = np.asarray(true_class)
-    if labels.shape != lengths.shape[:-1]:
-        raise ShapeError(f"class labels of shape {labels.shape} do not match lengths {lengths.shape}")
-    if np.any(labels < 0) or np.any(labels >= num_classes):
-        raise ValueError(f"true_class {true_class} out of range for {num_classes} classes")
-    onehot = np.eye(num_classes)[labels]
+    onehot = _one_hot(true_class, "true_class", lengths.shape[:-1], lengths.shape[-1])
     present = T.relu(T.sub(M_PLUS, lengths))
     absent = T.relu(T.sub(lengths, M_MINUS))
     terms = T.add(

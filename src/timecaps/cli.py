@@ -2,13 +2,14 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config/data error.
 Commands validate their inputs fully before writing anything; outputs are
-written to ``<name>.partial`` and renamed, and stale ``*.partial`` files in
-the output directory are removed at command start.
+written to ``<name>.partial`` and renamed, and at command start the stale
+``.partial`` files of the command's own outputs, and no others, are removed.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import sys
@@ -77,9 +78,11 @@ class RunConfig:
                                              **given("epochs", "seed")))
 
 
-def _clean_partials(out_dir: Path):
-    if out_dir.is_dir():
-        for stale in out_dir.glob("*.partial"):
+def _clean_partials(out_dir: Path, *outputs: str):
+    """Remove the ``<output>.partial`` files an interrupted run left for
+    these outputs, each a glob pattern in ``out_dir``."""
+    for pattern in outputs:
+        for stale in out_dir.glob(pattern + ".partial"):
             stale.unlink()
 
 
@@ -127,7 +130,7 @@ def cmd_train(args) -> int:
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _clean_partials(out_dir)
+    _clean_partials(out_dir, "test_split.csv", "model.ckpt", "report.json", "confusion.csv")
     _write(out_dir / "test_split.csv", lambda tmp: save_csv(test_raw, tmp))  # raw rows, for later eval runs
 
     train_set = _maybe_normalize(train_raw, cfg.normalize)
@@ -145,10 +148,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _inference_setup(args) -> tuple[ModelParams, Dataset, Path]:
-    """Checkpoint, normalized dataset of matching length, and a clean output
-    directory for ``eval`` and ``reconstruct``.  The data is normalized as
-    the checkpoint records (zscore when it records nothing); a conflicting
+def _inference_setup(args, outputs: str) -> tuple[ModelParams, Dataset, Path]:
+    """Checkpoint, normalized dataset of matching length, and the output
+    directory for ``eval`` and ``reconstruct``, cleaned of the partial files
+    of their ``outputs`` (a glob pattern).  The data is normalized as the
+    checkpoint records (zscore when it records nothing); a conflicting
     ``--normalize`` is a ConfigError naming both modes."""
     ckpt = read_checkpoint(args.checkpoint)
     params = ckpt.params
@@ -162,12 +166,12 @@ def _inference_setup(args) -> tuple[ModelParams, Dataset, Path]:
     dataset = _maybe_normalize(dataset, mode)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _clean_partials(out_dir)
+    _clean_partials(out_dir, outputs)
     return params, dataset, out_dir
 
 
 def cmd_eval(args) -> int:
-    params, dataset, out_dir = _inference_setup(args)
+    params, dataset, out_dir = _inference_setup(args, "confusion.csv")
     accuracy, confusion = evaluate(params, dataset)
     _write_confusion(out_dir / "confusion.csv", confusion)
     print(f"accuracy={accuracy:.4f}")
@@ -178,7 +182,7 @@ def cmd_reconstruct(args) -> int:
     k = args.k
     if k < 1:
         raise ConfigError(f"--k must be >= 1, got {k}")
-    params, dataset, out_dir = _inference_setup(args)
+    params, dataset, out_dir = _inference_setup(args, "recon_*.csv")
     if k > len(dataset):
         warnings.warn(f"--k {k} exceeds dataset size {len(dataset)}; clamping")
         k = len(dataset)
@@ -224,9 +228,8 @@ def cmd_synth(args) -> int:
     if not (np.isfinite(args.noise) and args.noise >= 0.0):
         raise ConfigError(f"--noise must be a finite number >= 0, got {args.noise}")
     out_path = Path(args.out)
-    if out_path.parent and not out_path.parent.exists():
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-    _clean_partials(out_path.parent)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    _clean_partials(out_path.parent, glob.escape(out_path.name))
     dataset = synth_waveforms(num_per_class=args.num_per_class, L=args.length,
                               noise_sigma=args.noise, seed=args.seed or 0)
     _write(out_path, lambda tmp: save_csv(dataset, tmp))

@@ -20,7 +20,7 @@ from . import tensor as T
 from .capsules import capsule_length, class_votes, dynamic_routing, margin_loss, mse_loss, squash
 from .conv import conv1d, conv2d, deconv1d
 from .errors import ConfigError
-from .model import ModelConfig, init_params, model_forward, param_shapes
+from .model import ModelConfig, ModelParams, init_params, model_forward, param_shapes
 from .tensor import Tensor
 from .training import TrainConfig, total_loss
 
@@ -164,7 +164,7 @@ def _full_model_check(cfg: ModelConfig, seed: int, h: float) -> float:
         original = params[name]
 
         def f(t: Tensor, _name=name) -> Tensor:
-            return loss_with(Tensor(x), params.replace({_name: t}))
+            return loss_with(Tensor(x), ModelParams(cfg, {**params.tensors(), _name: t}))
 
         worst = max(worst, grad_check(f, original, h))
 

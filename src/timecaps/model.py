@@ -1,6 +1,8 @@
 """The two-cell 1D capsule network: front convolution, channel-sliced and
 segment-sliced capsule cells, weighted concatenation, class capsules, and a
-deconvolution decoder.
+deconvolution decoder.  Both cells are one capsule cell (``_capsule_cell``)
+on their own feature convolutions, cutting the feature map into capsules
+along the feature axis (cell A) or into time segments (cell B).
 
 Shapes, given a config (every stage also takes a leading batch axis B,
 which its output then carries: (B, L) -> (B, L, k) and so on):
@@ -27,7 +29,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import tensor as T
-from .capsules import capsule_length, class_votes, dynamic_routing, squash
+from .capsules import _one_hot, capsule_length, class_votes, dynamic_routing, squash
 from .conv import conv1d, conv2d, deconv1d
 from .errors import ConfigError, ShapeError, check_fields, config_from, is_integer
 from .tensor import Tensor
@@ -168,11 +170,6 @@ class ModelParams:
 
     def tensors(self) -> dict[str, Tensor]:
         return self._tensors
-
-    def replace(self, tensors: dict[str, Tensor]) -> "ModelParams":
-        merged = dict(self._tensors)
-        merged.update(tensors)
-        return ModelParams(self.config, merged)
 
     def zero_grad(self):
         for p in self._tensors.values():
@@ -333,44 +330,42 @@ def _cell_votes(stacked: Tensor, kernels: Tensor, parents: int, dim: int) -> Ten
     return T.permute(votes, tuple(range(k)) + (k, k + 3, k + 1, k + 2))
 
 
+def _capsule_cell(feats: Tensor, rows: int, blocks: int, width: int, kernels: Tensor,
+                  parents: int, dim: int, iterations: int) -> Tensor:
+    """Primary capsules (``rows`` x ``blocks`` of ``width``, squashed) cut from
+    the ([B,] L, C) map ``feats``, their votes for ``parents`` capsules of
+    ``dim`` per row, routed over the blocks: ([B,] rows*parents, dim)."""
+    lead = feats.shape[:-2]
+    primary = squash(T.reshape(feats, lead + (rows, blocks, width)), axis=-1)
+    stacked = T.reshape(primary, lead + (rows, blocks * width, 1))
+    votes = _cell_votes(stacked, kernels, parents, dim)
+    routed = dynamic_routing(votes, iterations)  # ([B,] rows, parents, dim)
+    return T.reshape(routed, lead + (rows * parents, dim))
+
+
 def cell_a_forward(phi: Tensor, params: ModelParams, cfg: ModelConfig) -> Tensor:
     """Channel-sliced capsules: primary capsules along the feature axis vote
     (one kernel slid along time over each primary capsule's block of the
     feature axis) for next-layer feature-map bundles, which are then routed
     over the primary channel blocks."""
-    lead = phi.shape[:-2]
-    length, fa = cfg.L, cfg.c_p * cfg.a_p
     feats = conv1d(phi, params["cell_a_conv"])  # (L, c_p*a_p)
-    primary = squash(T.reshape(feats, lead + (length, cfg.c_p, cfg.a_p)), axis=-1)
-    stacked = T.reshape(primary, lead + (length, fa, 1))
-    # one width-a_p block per primary capsule: block axis = c_p
-    votes = _cell_votes(stacked, params["cell_a_votes"], cfg.c_sa, cfg.a_sa)
-    routed = dynamic_routing(votes, cfg.routing_iters)  # (L, c_sa, a_sa)
-    return T.reshape(routed, lead + (length * cfg.c_sa, cfg.a_sa))
+    return _capsule_cell(feats, cfg.L, cfg.c_p, cfg.a_p, params["cell_a_votes"],
+                         cfg.c_sa, cfg.a_sa, cfg.routing_iters)
 
 
 def cell_b_forward(phi: Tensor, params: ModelParams, cfg: ModelConfig) -> Tensor:
     """Segment-sliced capsules: the signal is cut into length-n segments whose
     capsules vote for past/future segment content; votes are routed over the
     segment axis."""
-    lead = phi.shape[:-2]
-    length, fb, n = cfg.L, cfg.c_b * cfg.a_b, cfg.n
-    segments = length // n
     reduced = conv1d(phi, params["cell_b_reduce"])  # 1x1 conv
     feats = conv1d(reduced, params["cell_b_conv"])  # (L, c_b*a_b)
-    primary = squash(T.reshape(feats, lead + (segments, n, fb)), axis=-1)
-    stacked = T.reshape(primary, lead + (segments, n * fb, 1))
-    # one width-fb block per segment sample: block axis = n
-    votes = _cell_votes(stacked, params["cell_b_votes"], cfg.c_sb, cfg.a_sb)
-    routed = dynamic_routing(votes, cfg.routing_iters)  # (L/n, c_sb, a_sb)
-    return T.reshape(routed, lead + (segments * cfg.c_sb, cfg.a_sb))
+    return _capsule_cell(feats, cfg.L // cfg.n, cfg.n, cfg.c_b * cfg.a_b, params["cell_b_votes"],
+                         cfg.c_sb, cfg.a_sb, cfg.routing_iters)
 
 
 def concat_weighted(omega_a: Tensor, omega_b: Tensor, alpha: Tensor, beta: Tensor) -> Tensor:
-    """Stack alpha-scaled and beta-scaled capsule sets along the capsule axis."""
-    if omega_a.shape[-1] != omega_b.shape[-1]:
-        raise ShapeError(
-            f"capsule dims differ: {omega_a.shape[-1]} vs {omega_b.shape[-1]}")
+    """Stack alpha-scaled and beta-scaled capsule sets along the capsule axis
+    (``T.concat`` raises ShapeError when their capsule dims differ)."""
     return T.concat([T.mul(omega_a, alpha), T.mul(omega_b, beta)], axis=-2)
 
 
@@ -398,12 +393,7 @@ def decoder_forward(class_capsules: Tensor, mask_class, params: ModelParams,
     between, linear last) that upsample back to length L.
     """
     lead = class_capsules.shape[:-2]
-    labels = np.asarray(mask_class)
-    if labels.shape != lead:
-        raise ShapeError(f"mask_class of shape {labels.shape} does not match capsules {class_capsules.shape}")
-    if np.any(labels < 0) or np.any(labels >= cfg.num_classes):
-        raise ValueError(f"mask_class {mask_class} out of range for {cfg.num_classes} classes")
-    mask = np.eye(cfg.num_classes)[labels][..., None]  # ([B,] classes, 1)
+    mask = _one_hot(mask_class, "mask_class", lead, cfg.num_classes)[..., None]  # ([B,] classes, 1)
     masked = T.mul(class_capsules, Tensor(mask))
     rows = lead[0] if lead else 1
     h = T.reshape(masked, (rows, cfg.num_classes * cfg.a_sig))

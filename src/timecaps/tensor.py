@@ -203,36 +203,23 @@ def relu(t: Tensor) -> Tensor:
     return make_op(np.where(mask, t.data, 0.0), (t,), backward)
 
 
-def _normalize_axes(axes, ndim) -> tuple[int, ...]:
-    if axes is None:
-        return tuple(range(ndim))
-    if isinstance(axes, int):
-        axes = (axes,)
-    norm = []
-    for ax in axes:
-        a = ax + ndim if ax < 0 else ax
-        if not 0 <= a < ndim:
-            raise ValueError(f"axis {ax} out of range for ndim {ndim}")
-        norm.append(a)
-    if len(set(norm)) != len(norm):
-        raise ValueError(f"duplicate axes in {axes}")
-    return tuple(sorted(norm))
-
-
 def sum_over(t: Tensor, axes=None) -> Tensor:
-    axes_n = _normalize_axes(axes, t.data.ndim)
-    data = t.data.sum(axis=axes_n if axes_n else None)
-    kept = tuple(1 if ax in axes_n else n for ax, n in enumerate(t.shape))
+    """Sum over ``axes`` (an int or a tuple; every axis when None), which
+    numpy checks."""
+    data = t.data.sum(axis=axes)
 
     def backward(gout):
-        _accumulate(t, np.broadcast_to(np.reshape(gout, kept), t.shape))
+        g = gout if axes is None else np.expand_dims(gout, axes)
+        _accumulate(t, np.broadcast_to(g, t.shape))
 
     return make_op(data, (t,), backward)
 
 
 def mean_over(t: Tensor, axes=None) -> Tensor:
-    axes_n = _normalize_axes(axes, t.data.ndim)
-    return mul(sum_over(t, axes_n), 1.0 / math.prod(t.shape[ax] for ax in axes_n))
+    """Mean over ``axes``: the sum scaled by the share of elements it keeps,
+    which rounds to the same float as 1/count."""
+    s = sum_over(t, axes)
+    return mul(s, s.size / t.size)
 
 
 def reshape(t: Tensor, new_shape) -> Tensor:

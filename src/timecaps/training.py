@@ -180,7 +180,7 @@ def _backprop_batch(params: ModelParams, signals, cfg: TrainConfig,
         raise TrainingError(f"non-finite loss {loss.item()} at {where}")
     loss.backward()
     for name, p in params.items():
-        if p.grad is not None and not np.isfinite(p.grad).all():
+        if not np.isfinite(p.grad).all():
             raise TrainingError(f"non-finite gradient of {name!r} at {where} "
                                 f"(loss {loss.item():.6g} is finite)")
     return float(np.sum(margin.data)), float(np.sum(recon.data))
@@ -224,15 +224,9 @@ def train(params: ModelParams, train_set: Dataset, test_set: Dataset, cfg: Train
             margin_sum += margin
             recon_sum += recon
             per_row = 1.0 / len(batch)
-            grads = {}
-            for name, p in params.items():
-                if p.grad is None:
-                    grads[name] = np.zeros_like(p.data)
-                else:
-                    p.grad *= per_row
-                    grads[name] = p.grad
+            grads = {name: np.multiply(p.grad, per_row, out=p.grad) for name, p in params.items()}
             new_tensors, state = adam_step(params.tensors(), grads, state)
-            params = params.replace(new_tensors)
+            params = ModelParams(model_cfg, new_tensors)
         train_acc, _ = evaluate(params, train_set)
         test_acc, confusion = evaluate(params, test_set)
         stats = EpochStats(

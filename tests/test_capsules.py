@@ -285,6 +285,29 @@ class TestRouting:
         _, state = dynamic_routing_trace(Tensor(votes), 2)
         assert np.array_equal(state.logits[0], np.zeros((1, 2, 3)))
 
+    @pytest.mark.parametrize("flat", [True, False], ids=["flat", "matmul"])
+    def test_trace_logits_agree_with_couplings_and_sums(self, rng, flat):
+        # the trace rebuilds the logits from the forward's record: each
+        # coupling is their softmax over the blocks, and each step adds the
+        # agreement of the votes with the squashed weighted sum
+        if flat:  # toy cell A's votes at batch 2
+            votes = site_votes(ModelConfig.toy(), "cell_a", 2, rng)
+        else:  # more blocks than (outer, parent) rows, batch 2
+            votes = rng.standard_normal((2, 1, 2, 12, 4))
+        assert _flat_form(votes.reshape((-1,) + votes.shape[-3:]).shape) == flat
+        out, state = dynamic_routing_trace(Tensor(votes), 4)
+        assert out.data.tobytes() == dynamic_routing(Tensor(votes), 4).data.tobytes()
+        assert len(state.logits) == len(state.couplings) == len(state.weighted_sums) == 4
+        for b, c in zip(state.logits, state.couplings):
+            e = np.exp(b - b.max(axis=-1, keepdims=True))
+            assert np.max(np.abs(c - e / e.sum(axis=-1, keepdims=True))) < 1e-15
+        for k in range(3):
+            w = state.weighted_sums[k]
+            n2 = np.sum(w * w, axis=-1, keepdims=True)
+            y = w * n2 / (1.0 + n2) / np.sqrt(n2)
+            agreement = np.einsum("...sn,...n->...s", votes, y)
+            assert np.max(np.abs(state.logits[k + 1] - state.logits[k] - agreement)) < 1e-12
+
 
 class TestClassVotes:
     def test_matches_einsum_with_both_adjoints(self, rng):

@@ -3,6 +3,8 @@
 import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -359,6 +361,81 @@ class TestTrainCommand:
         assert not out_dir.exists()
 
 
+class TestPartialFiles:
+    """Each command removes the stale ``.partial`` files of its own outputs
+    and leaves every other file alone."""
+
+    UNRELATED = ("notes.partial", "download.iso.partial")
+
+    def test_unrelated_partial_files_survive_every_command(self, tmp_path, monkeypatch):
+        # negative control: every command deleted each *.partial file in its
+        # output directory, for synth and eval (default --out .) the working one
+        monkeypatch.chdir(tmp_path)
+        for name in self.UNRELATED:
+            Path(name).write_text("keep")
+        commands = [
+            ["synth", "--out", "w.csv", "--num-per-class", "20", "--length", "32", "--seed", "3"],
+            ["train", "--config", str(smoke_config(tmp_path, "w.csv", "."))],
+            ["eval", "--checkpoint", "model.ckpt", "--data", "test_split.csv"],
+            ["reconstruct", "--checkpoint", "model.ckpt", "--data", "test_split.csv", "--k", "1"],
+        ]
+        for argv in commands:
+            assert main(argv) == 0
+            assert all(Path(name).exists() for name in self.UNRELATED), argv[0]
+        assert Path("recon_000.csv").exists()
+
+    def test_stale_partials_of_own_outputs_are_removed(self, tmp_path, synth_csv, monkeypatch):
+        # removed at command start: before train() runs, and for a
+        # reconstruction file this run does not write again
+        out_dir = tmp_path / "run"
+        out_dir.mkdir()
+        stale = out_dir / "model.ckpt.partial"
+        stale.write_text("stale")
+        seen = []
+        real_train = cli.train
+        monkeypatch.setattr(cli, "train", lambda *a, **kw: seen.append(stale.exists()) or real_train(*a, **kw))
+        assert main(["train", "--config", str(smoke_config(tmp_path, synth_csv, out_dir))]) == 0
+        assert seen == [False]
+        stale_recon = out_dir / "recon_007.csv.partial"
+        stale_recon.write_text("stale")
+        assert main(["reconstruct", "--checkpoint", str(out_dir / "model.ckpt"),
+                     "--data", str(out_dir / "test_split.csv"), "--out", str(out_dir), "--k", "1"]) == 0
+        assert not stale_recon.exists()
+        assert not list(out_dir.glob("*.partial"))
+
+
+class TestReadmeQuickStart:
+    """The README's quick-start commands, run as documented at a smaller size."""
+
+    README = Path(__file__).resolve().parents[1] / "README.md"
+    # argparse keeps the last value of a flag given twice
+    SMALLER = {"synth": ["--num-per-class", "20"], "train": ["--epochs", "1"]}
+
+    def quick_start(self) -> list[list[str]]:
+        text = self.README.read_text(encoding="utf-8")
+        section = text.split("## Quick start", 1)[1]
+        block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        return [shlex.split(ln)[1:] for ln in lines if ln.startswith("timecaps ")]
+
+    def train_outputs(self) -> list[str]:
+        text = self.README.read_text(encoding="utf-8")
+        listing = text.split("`train --out` writes:", 1)[1].lstrip().split("\n\n", 1)[0]
+        return re.findall(r"^- `([^`]+)`", listing, flags=re.M)
+
+    def test_every_documented_command_runs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        commands = self.quick_start()
+        assert [argv[0] for argv in commands] == ["synth", "train", "eval", "reconstruct", "gradcheck"]
+        for argv in commands:
+            assert main(argv + self.SMALLER.get(argv[0], [])) == 0, argv
+        train = commands[1]
+        out_dir = Path(train[train.index("--out") + 1])
+        written = self.train_outputs()
+        assert sorted(written) == ["confusion.csv", "model.ckpt", "report.json", "test_split.csv"]
+        assert all((out_dir / name).is_file() for name in written)
+
+
 class TestEvalCommand:
     def test_eval_reproduces_training_test_accuracy(self, tmp_path, synth_csv):
         out_dir = tmp_path / "run"
@@ -512,12 +589,22 @@ class TestGradcheckCommand:
             assert any(comp in ln for ln in lines)
 
     def test_gradient_fault_exits_1(self, capsys, monkeypatch):
-        # a squash backward off by 10% must fail the check it feeds
+        # a squash backward off by 10% must fail every check it feeds.  The
+        # array is scaled in place, because routing has it write into a
+        # buffer (``out=``) and ignores the return value.
         real = capsules._squash_backward
-        monkeypatch.setattr(capsules, "_squash_backward", lambda *args: 1.1 * real(*args))
+
+        def faulty(*args):
+            g = real(*args)
+            g *= 1.1
+            return g
+
+        monkeypatch.setattr(capsules, "_squash_backward", faulty)
         assert main(["gradcheck"]) == 1
         captured = capsys.readouterr()
-        assert any(ln.startswith("squash ") and ln.endswith(" FAIL") for ln in captured.out.splitlines())
+        failed = {ln.split()[0] for ln in captured.out.splitlines() if ln.endswith(" FAIL")}
+        assert {"squash", "squash_batch2", "routing", "routing_batch2", "routing_many_blocks",
+                "full_model"} <= failed
         assert "gradcheck FAILED" in captured.err
 
     def test_inject_fault_flag_is_unknown(self, capsys):

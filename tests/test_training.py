@@ -14,7 +14,7 @@ import pytest
 from timecaps import training
 from timecaps.data import Dataset, LabeledSignal
 from timecaps.errors import CheckpointError, ConfigError, TrainingError
-from timecaps.model import classify, init_params, model_forward
+from timecaps.model import ModelParams, classify, init_params, model_forward
 from timecaps.optim import AdamState, adam_step
 from timecaps.tensor import Tensor, no_grad
 from timecaps.training import (
@@ -240,7 +240,7 @@ class TestTrainLoop:
                         if p.grad is not None:
                             grads[k] += p.grad / len(batch)
                 new_tensors, state = adam_step(params.tensors(), grads, state)
-                params = params.replace(new_tensors)
+                params = ModelParams(tiny_cfg, new_tensors)
         for k in params.names():
             assert np.allclose(out[k].data, params[k].data, rtol=1e-9, atol=1e-12), k
 
@@ -261,7 +261,7 @@ class TestTrainLoop:
                      for k, p in params.items()}
             state = AdamState.for_params(params.tensors(), lr=tcfg.lr)
             new_tensors, _ = adam_step(params.tensors(), grads, state)
-            fwd2 = model_forward(x, params.replace(new_tensors), tiny_cfg, mask_class=0)
+            fwd2 = model_forward(x, ModelParams(tiny_cfg, new_tensors), tiny_cfg, mask_class=0)
             after = total_loss(fwd2, x, 0, tcfg).item()
             decreases += int(after < base)
         assert decreases >= 0.95 * trials
