@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config/data error.
 Commands validate their inputs fully before writing anything; outputs are
 written to ``<name>.partial`` and renamed, and at command start the stale
 ``.partial`` files of the command's own outputs, and no others, are removed.
+``train`` writes ``test_split.csv`` after training, with the checkpoint, and
+``reconstruct`` ends by removing its own ``recon_<i>.csv`` files of an
+earlier run for every i at or past the number it wrote.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import argparse
 import glob
 import json
 import os
+import re
 import sys
 import warnings
 from dataclasses import dataclass
@@ -131,13 +135,15 @@ def cmd_train(args) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _clean_partials(out_dir, "test_split.csv", "model.ckpt", "report.json", "confusion.csv")
-    _write(out_dir / "test_split.csv", lambda tmp: save_csv(test_raw, tmp))  # raw rows, for later eval runs
 
     train_set = _maybe_normalize(train_raw, cfg.normalize)
     test_set = _maybe_normalize(test_raw, cfg.normalize)
     params = init_params(cfg.model, seed=cfg.train.seed)
     params, report = train(params, train_set, test_set, cfg.train, log=print)
 
+    # the raw held-out rows, for later eval runs; written after training, so
+    # a run that fails leaves an earlier run's split next to its checkpoint
+    _write(out_dir / "test_split.csv", lambda tmp: save_csv(test_raw, tmp))
     written = [out_dir / "model.ckpt", out_dir / "report.json"]
     _write(written[0], lambda tmp: save_checkpoint(params, tmp, normalize=cfg.normalize))
     _write_text(written[1], report.to_json())
@@ -196,6 +202,10 @@ def cmd_reconstruct(args) -> int:
             ",".join(f"{v:.17g}" for v in fwd.reconstruction.data),
         ]
         _write_text(out_dir / f"recon_{i:03d}.csv", "\n".join(rows) + "\n")
+    for stale in out_dir.glob("recon_*.csv"):  # an earlier run's files past this run's k
+        number = re.fullmatch(r"recon_([0-9]+)\.csv", stale.name)
+        if number and int(number[1]) >= k and stale.name == f"recon_{int(number[1]):03d}.csv":
+            stale.unlink()
     print(f"wrote {k} reconstruction file(s) to {out_dir}")
     return 0
 

@@ -5,9 +5,15 @@ header, '.' decimal separator, LF line endings.  A leading UTF-8 byte-order
 mark, as spreadsheets write, is skipped.  ``save_csv`` writes each sample as
 ``f"{v:.17g}"`` does (``-0``, ``0.10000000000000001``,
 ``1.7976931348623157e+308``), which reads back to the same bits.
-``load_csv`` parses samples with ``float()`` and names the file, the row
-(1-based, blank lines counted) and, for a sample, the column of the first bad
-field; given ``num_classes`` it rejects a label outside
+``load_csv`` reads the labels with ``int()`` and all sample text in one
+call of numpy's C reader (``np.loadtxt``), which parses each ASCII field to
+the same bits as ``float()``; the signals' samples are then the rows (views)
+of one (N, L) array, which nothing in the package writes to.  Any file that
+reader rejects, or that holds a bad label or a non-finite sample, is read
+again by the row-at-a-time ``float()`` parser, ``_load_csv_rows``, which
+accepts what ``float()`` accepts (``1_5``, non-ASCII digits) and names the
+file, the row (1-based, blank lines counted) and, for a sample, the column
+of the first bad field; given ``num_classes`` it rejects a label outside
 ``0..num_classes-1`` the same way (``<path>: row 4 has label 7, expected
 0..2``).  The command line runs as ``timecaps`` or, uninstalled, as
 ``PYTHONPATH=src python -m timecaps``.
@@ -58,7 +64,41 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
     Non-numeric and non-finite (nan, inf) samples are rejected, naming the
     row and the 1-based column; with ``num_classes`` given, so is a label
     outside ``0..num_classes-1``.  A leading UTF-8 byte-order mark is skipped.
+    The samples of a file numpy's C reader accepts are the rows of one (N, L)
+    array; every other file is read again by ``_load_csv_rows``, which
+    returns the same samples or raises the first error in file order.
     """
+    labels: list[int] = []
+
+    def sample_text(fh):
+        # one row's sample text at a time, so the file's text is never held whole
+        for line in fh:
+            line = line.strip()
+            if line:
+                label, _, samples = line.partition(",")
+                labels.append(int(label))
+                if not samples:
+                    raise ValueError
+                yield samples
+        if not labels:
+            raise ValueError  # before loadtxt warns of an empty input
+
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            x = np.loadtxt(sample_text(fh), delimiter=",", comments=None, ndmin=2)
+        if (x.shape[0] != len(labels) or min(labels) < 0
+                or (num_classes is not None and max(labels) >= num_classes) or not np.isfinite(x).all()):
+            raise ValueError
+    except ValueError:  # also UnicodeDecodeError
+        return _load_csv_rows(path, num_classes)
+    classes = num_classes if num_classes is not None else max(labels) + 1
+    return Dataset([LabeledSignal(samples=row, label=label) for row, label in zip(x, labels)],
+                   L=x.shape[1], num_classes=classes)
+
+
+def _load_csv_rows(path, num_classes: int | None) -> Dataset:
+    """``load_csv`` one row at a time with ``float()``: the reference parser,
+    and the one that names the first bad row."""
     signals: list[LabeledSignal] = []
     length = None
     with open(path, "r", encoding="utf-8-sig") as fh:

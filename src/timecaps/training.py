@@ -8,7 +8,11 @@ manifest order, back to back, with nothing after the last.  Tensors are
 stored in the layouts ``model.param_shapes`` gives: the vote kernels order
 their output channels (dim, parent), and ``class_weights`` is (N, a_s,
 num_classes, a_sig).  ``normalize`` is ``zscore``, ``minmax``, ``none`` or
-null (not recorded).
+null (not recorded).  ``save_checkpoint`` writes each tensor's contiguous
+little-endian buffer as it is, through a ``memoryview``, and
+``read_checkpoint`` checks the header and manifest, then reads each tensor
+with one ``readinto`` straight into its final float64 array; a short read is
+a truncated payload.  So neither holds a second copy of the parameters.
 
 Version 1 files, which have no ``normalize`` field, still load: their vote
 kernel channels are in (parent, dim) order and their ``class_weights`` is
@@ -254,12 +258,9 @@ def save_checkpoint(params: ModelParams, path, normalize: str | None = None):
         raise ValueError(f"normalize must be one of {NORMALIZE_MODES} or None, got {normalize!r}")
     manifest = []
     offset = 0
-    blobs = []
     for name, p in params.items():
-        blob = np.ascontiguousarray(p.data, dtype="<f8").tobytes()
         manifest.append({"name": name, "shape": list(p.shape), "offset": offset})
-        blobs.append(blob)
-        offset += len(blob)
+        offset += 8 * p.size
     header = {
         "format": _CHECKPOINT_MAGIC,
         "version": _CHECKPOINT_VERSION,
@@ -270,8 +271,8 @@ def save_checkpoint(params: ModelParams, path, normalize: str | None = None):
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
         fh.write(b"\n")
-        for blob in blobs:
-            fh.write(blob)
+        for _, p in params.items():
+            fh.write(memoryview(np.ascontiguousarray(p.data, dtype="<f8")))
 
 
 @dataclass
@@ -291,60 +292,61 @@ def load_checkpoint(path) -> ModelParams:
 def read_checkpoint(path) -> Checkpoint:
     """Reconstruct params, config and the recorded normalization from a
     version 2 or version 1 file; any inconsistency raises CheckpointError
-    before anything is returned (no partial loads)."""
+    before anything is returned (no partial loads).  After the header checks
+    each tensor is read straight into its own array, so the load holds the
+    parameters once."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
-        payload = fh.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: unreadable header ({exc})") from None
-    fmt = header.get("format") if isinstance(header, dict) else None
-    if fmt != _CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint (format={fmt!r})")
-    version = header.get("version")
-    if type(version) is not int or version not in (1, _CHECKPOINT_VERSION):
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}, "
-                              f"expected 1 or {_CHECKPOINT_VERSION}")
-    try:
-        config = ModelConfig.from_dict(header["config"])
-        manifest = header["tensors"]
-        normalize = header["normalize"] if version == _CHECKPOINT_VERSION else None
-    except (KeyError, TypeError, ConfigError) as exc:
-        raise CheckpointError(f"{path}: bad header ({exc})") from None
-    if normalize is not None and normalize not in NORMALIZE_MODES:
-        raise CheckpointError(f"{path}: unknown normalize mode {normalize!r}")
-
-    expected = param_shapes(config) if version == _CHECKPOINT_VERSION else v1_param_shapes(config)
-    if not (isinstance(manifest, list) and all(isinstance(m, dict) for m in manifest)
-            and [m.get("name") for m in manifest] == list(expected)):
-        raise CheckpointError(f"{path}: tensor manifest does not match the config's parameter set")
-    tensors: dict[str, Tensor] = {}
-    stop = 0  # tensors are stored back to back in manifest order
-    for m in manifest:
-        name = m["name"]
         try:
-            shape = tuple(int(s) for s in m["shape"])
-            start = int(m["offset"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"{path}: bad manifest entry for {name!r} ({exc})") from None
-        if shape != expected[name]:
-            raise CheckpointError(f"{path}: tensor {name!r} has shape {shape}, expected {expected[name]}")
-        if start < stop:
-            raise CheckpointError(f"{path}: tensor {name!r} at offset {start} overlaps the one "
-                                  f"before it, which ends at {stop}")
-        if start > stop:
-            raise CheckpointError(f"{path}: {start - stop}-byte gap before tensor {name!r}")
-        stop = start + 8 * (int(np.prod(shape)) if shape else 1)
-        if stop > len(payload):
-            raise CheckpointError(f"{path}: tensor {name!r} payload is truncated")
-        data = np.frombuffer(payload[start:stop], dtype="<f8").reshape(shape)
-        if not np.isfinite(data).all():
-            raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
-        data = data.copy()
-        if version == 1:
-            data = from_v1_layout(config, name, data)
-        tensors[name] = Tensor(data, requires_grad=True)
-    if stop != len(payload):
-        raise CheckpointError(f"{path}: {len(payload) - stop} trailing payload bytes after the last tensor")
+            header = json.loads(header_line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path}: unreadable header ({exc})") from None
+        fmt = header.get("format") if isinstance(header, dict) else None
+        if fmt != _CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint (format={fmt!r})")
+        version = header.get("version")
+        if type(version) is not int or version not in (1, _CHECKPOINT_VERSION):
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}, "
+                                  f"expected 1 or {_CHECKPOINT_VERSION}")
+        try:
+            config = ModelConfig.from_dict(header["config"])
+            manifest = header["tensors"]
+            normalize = header["normalize"] if version == _CHECKPOINT_VERSION else None
+        except (KeyError, TypeError, ConfigError) as exc:
+            raise CheckpointError(f"{path}: bad header ({exc})") from None
+        if normalize is not None and normalize not in NORMALIZE_MODES:
+            raise CheckpointError(f"{path}: unknown normalize mode {normalize!r}")
+
+        expected = param_shapes(config) if version == _CHECKPOINT_VERSION else v1_param_shapes(config)
+        if not (isinstance(manifest, list) and all(isinstance(m, dict) for m in manifest)
+                and [m.get("name") for m in manifest] == list(expected)):
+            raise CheckpointError(f"{path}: tensor manifest does not match the config's parameter set")
+        tensors: dict[str, Tensor] = {}
+        stop = 0  # tensors are stored back to back in manifest order
+        for m in manifest:
+            name = m["name"]
+            try:
+                shape = tuple(int(s) for s in m["shape"])
+                start = int(m["offset"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CheckpointError(f"{path}: bad manifest entry for {name!r} ({exc})") from None
+            if shape != expected[name]:
+                raise CheckpointError(f"{path}: tensor {name!r} has shape {shape}, expected {expected[name]}")
+            if start < stop:
+                raise CheckpointError(f"{path}: tensor {name!r} at offset {start} overlaps the one "
+                                      f"before it, which ends at {stop}")
+            if start > stop:
+                raise CheckpointError(f"{path}: {start - stop}-byte gap before tensor {name!r}")
+            data = np.empty(shape, dtype="<f8")
+            stop = start + data.nbytes
+            if fh.readinto(data) != data.nbytes:
+                raise CheckpointError(f"{path}: tensor {name!r} payload is truncated")
+            if not np.isfinite(data).all():
+                raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
+            if version == 1:
+                data = from_v1_layout(config, name, data)
+            tensors[name] = Tensor(data, requires_grad=True)
+        extra = len(fh.read())
+    if extra:
+        raise CheckpointError(f"{path}: {extra} trailing payload bytes after the last tensor")
     return Checkpoint(ModelParams(config, tensors), normalize)

@@ -151,6 +151,27 @@ class TestTrainCommand:
         assert not (out_dir / "test_split.csv").exists()
         assert not (out_dir / "model.ckpt").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_failed_run_keeps_the_earlier_test_split(self, tmp_path, monkeypatch, capsys):
+        # negative control: test_split.csv was written before epoch 1, so a
+        # run that failed in training replaced the split of the checkpoint
+        # beside it, and eval on that split read 0.7778 against the
+        # report's 0.5556
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--out", "w.csv", "--num-per-class", "12", "--seed", "3"]) == 0
+        assert main(["train", "--data", "w.csv", "--epochs", "1", "--seed", "1", "--out", "mix"]) == 0
+        first_split = Path("mix/test_split.csv").read_bytes()
+        Path("bad.json").write_text(json.dumps({"train": {"lr": 1e300}, "split_seed": 5}))
+        capsys.readouterr()
+        assert main(["train", "--config", "bad.json", "--data", "w.csv", "--epochs", "3",
+                     "--seed", "2", "--out", "mix"]) == 2
+        assert "non-finite loss" in capsys.readouterr().err
+        assert Path("mix/test_split.csv").read_bytes() == first_split
+        report = json.loads(Path("mix/report.json").read_text())
+        assert main(["eval", "--checkpoint", "mix/model.ckpt", "--data", "mix/test_split.csv",
+                     "--out", "ev"]) == 0
+        assert f"accuracy={report['epochs'][-1]['test_accuracy']:.4f}" in capsys.readouterr().out
+
     def test_flat_row_trains(self, tmp_path, synth_csv):
         # negative control: a constant row normalizes to zeros, its class
         # capsules are zero vectors, and the gradient of their lengths was
@@ -491,6 +512,23 @@ class TestReconstructCommand:
             assert len(rows) == 2
             assert len(rows[0].split(",")) == 32
             assert len(rows[1].split(",")) == 32
+
+    def test_smaller_k_removes_the_earlier_runs_extra_files(self, tmp_path, synth_csv):
+        # negative control: recon_003.csv and recon_004.csv of the --k 5 run
+        # stayed next to the --k 3 run's files
+        out_dir = tmp_path / "run"
+        main(["train", "--config", str(smoke_config(tmp_path, synth_csv, out_dir))])
+        rec_dir = tmp_path / "rec"
+        common = ["reconstruct", "--checkpoint", str(out_dir / "model.ckpt"),
+                  "--data", str(out_dir / "test_split.csv"), "--out", str(rec_dir)]
+        assert main(common + ["--k", "5"]) == 0
+        unrelated = [rec_dir / "recon_best.csv", rec_dir / "recon_0004.csv", rec_dir / "recon_4.csv"]
+        for path in unrelated:
+            path.write_text("keep")
+        assert main(common + ["--k", "3", "--seed", "1"]) == 0
+        ours = sorted(p.name for p in rec_dir.glob("recon_[0-9][0-9][0-9].csv"))
+        assert ours == ["recon_000.csv", "recon_001.csv", "recon_002.csv"]
+        assert all(path.read_text() == "keep" for path in unrelated)
 
     def test_k_clamped_with_warning(self, tmp_path, synth_csv):
         out_dir = tmp_path / "run"

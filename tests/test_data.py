@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from timecaps import data
 from timecaps.data import (
     Dataset,
     LabeledSignal,
@@ -143,6 +144,76 @@ class TestCsvText:
         back = load_csv(p)
         for x, sig in zip(rows, back.signals):
             assert sig.samples.tobytes() == x.tobytes()
+
+
+@pytest.fixture
+def row_parser_calls(monkeypatch):
+    """Count the files ``load_csv`` hands to the row-at-a-time parser."""
+    calls = []
+    real = data._load_csv_rows
+    monkeypatch.setattr(data, "_load_csv_rows", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def assert_same_dataset(a, b):
+    assert (a.L, a.num_classes, len(a)) == (b.L, b.num_classes, len(b))
+    for x, y in zip(a.signals, b.signals):
+        assert x.label == y.label
+        assert x.samples.dtype == y.samples.dtype == np.float64
+        assert x.samples.tobytes() == y.samples.tobytes()
+
+
+class TestFastPathMatchesRowParser:
+    """``load_csv`` parses all sample text in numpy's C reader and falls back
+    to the ``float()`` row parser for any file that reader rejects; either
+    way a file gives the samples ``float()`` gives."""
+
+    EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+            1.7976931348623157e308, -1.7976931348623157e308, 1e-300, -1e-300]
+
+    @pytest.mark.parametrize("fmt", ["%.17g", "repr"])
+    def test_random_bit_patterns_read_back_as_float_reads_them(self, tmp_path, rng, fmt,
+                                                               row_parser_calls):
+        bits = rng.integers(0, 2**64, size=40 * 25, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64)
+        values = np.concatenate([self.EDGE, values[np.isfinite(values)]])[: 30 * 25].reshape(30, 25)
+        text = [[repr(float(v)) if fmt == "repr" else "%.17g" % v for v in row] for row in values]
+        p = tmp_path / "d.csv"
+        p.write_text("".join(f"{i % 4}," + ",".join(row) + "\n" for i, row in enumerate(text)))
+        got = load_csv(p)
+        assert row_parser_calls == []
+        for sig, row in zip(got.signals, text):
+            assert sig.samples.tobytes() == np.array([float(t) for t in row]).tobytes()
+
+    @pytest.mark.parametrize("raw,falls_back", [
+        (b"0, 2.5 ,1\n1,\t-3 ,4\n", False),
+        (b"0,1E5,1e-5\n1,2E+05,-1E-05\n", False),
+        (b"0,+.5,-.5\n1,5.,+0\n", False),
+        (b"0,1_5,2\n1,3,4_0.5\n", True),
+        ("0,\u0663.\u0665,2\n1,\u0661,3\n".encode(), True),
+        (b"0,1.5,2.5\r\n1,3.5,4.5\r\n", False),
+        (b"\xef\xbb\xbf0,1.5,2.5\n1,3.5,4.5\n", False),
+        (b"\n0,1.5,2.5\n\n   \n1,3.5,4.5\n\n", False),
+        (b"0,1.5\n2,-0\n1,7\n", False),
+        (b"3,0.25", False),
+    ], ids=["spaces", "exponent", "signs", "underscores", "arabic-indic", "crlf", "bom",
+            "blank-lines", "one-sample-rows", "one-row-no-newline"])
+    def test_odd_valid_files_give_the_row_parsers_dataset(self, tmp_path, raw, falls_back,
+                                                         row_parser_calls):
+        p = tmp_path / "d.csv"
+        p.write_bytes(raw)
+        got = load_csv(p)
+        assert len(row_parser_calls) == falls_back
+        assert_same_dataset(got, data._load_csv_rows(p, None))
+        assert_same_dataset(load_csv(p, num_classes=5), data._load_csv_rows(p, 5))
+
+    def test_fast_path_rows_are_views_of_one_array(self, tmp_path, rng, row_parser_calls):
+        p = tmp_path / "d.csv"
+        save_csv(Dataset([LabeledSignal(rng.standard_normal(7), i % 3) for i in range(9)], 7, 3), p)
+        rows = [sig.samples for sig in load_csv(p).signals]
+        assert row_parser_calls == []
+        assert all(r.base is rows[0].base and r.base is not None for r in rows)
+        assert rows[0].base.shape == (9, 7)
 
 
 def reference_normalize(dataset, mode):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +345,33 @@ class TestCheckpoint:
             assert np.array_equal(loaded[k].data, params[k].data)
         save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @staticmethod
+    def traced_peak(call) -> int:
+        """The peak of the memory traced while ``call()`` runs, in bytes."""
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_save_makes_no_copy_of_the_parameters(self, toy_cfg, tmp_path):
+        # negative control: the save built every tensor's bytes before
+        # writing them, a peak of 1.01x the payload
+        params = init_params(toy_cfg, seed=7)
+        payload = sum(p.data.nbytes for p in params.tensors().values())
+        assert self.traced_peak(lambda: save_checkpoint(params, tmp_path / "m.ckpt")) < 0.5 * payload
+
+    def test_read_holds_the_parameters_once(self, toy_cfg, tmp_path):
+        # negative control: the load read the whole payload, sliced a bytes
+        # copy of each tensor and copied that again, a peak of 2.08x the
+        # payload
+        params = init_params(toy_cfg, seed=7)
+        payload = sum(p.data.nbytes for p in params.tensors().values())
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(params, p)
+        assert self.traced_peak(lambda: read_checkpoint(p)) < 1.5 * payload
 
     def test_recorded_normalize_round_trips(self, tiny_cfg, tmp_path):
         p1, p2 = tmp_path / "m.ckpt", tmp_path / "m2.ckpt"
