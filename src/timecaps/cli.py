@@ -1,8 +1,9 @@
 """Command-line interface: train, eval, reconstruct, gradcheck, synth.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config/data error.
-Commands validate their inputs fully before writing anything; outputs are
-written to ``<name>.partial`` and renamed, and at command start the stale
+Commands validate their inputs fully before writing anything; a command
+writes all its outputs to ``<name>.partial`` files and renames them into
+place only once the last is complete, and at command start the stale
 ``.partial`` files of the command's own outputs, and no others, are removed.
 ``train`` writes ``test_split.csv`` after training, with the checkpoint, and
 ``reconstruct`` ends by removing its own ``recon_<i>.csv`` files of an
@@ -18,6 +19,7 @@ import os
 import re
 import sys
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,8 +38,13 @@ GRAD_TOLERANCE = 1e-4
 
 def _read_config(path: str) -> dict:
     """The JSON object in the config file at ``path``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: config is not UTF-8 text") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config root must be a JSON object")
     return raw
@@ -90,20 +97,27 @@ def _clean_partials(out_dir: Path, *outputs: str):
             stale.unlink()
 
 
-def _write(path: Path, write):
-    """Call ``write`` on ``<path>.partial``, then rename it to ``path``."""
-    tmp = path.with_name(path.name + ".partial")
-    write(tmp)
-    os.replace(tmp, path)
+def _write(*outputs: tuple[Path, Callable[[Path], object]]):
+    """Call each output's ``write`` on ``<path>.partial``, then, once the last
+    is complete, rename them all into place: a write that fails leaves every
+    earlier file under these names as it was."""
+    written = []
+    for path, write in outputs:
+        tmp = path.with_name(path.name + ".partial")
+        write(tmp)
+        written.append((tmp, path))
+    for tmp, path in written:
+        os.replace(tmp, path)
 
 
-def _write_text(path: Path, text: str):
-    _write(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
+def _text(text: str) -> Callable[[Path], object]:
+    """A ``_write`` writer of ``text``."""
+    return lambda tmp: tmp.write_text(text, encoding="utf-8")
 
 
-def _write_confusion(path: Path, confusion: np.ndarray):
+def _confusion(confusion: np.ndarray) -> Callable[[Path], object]:
     lines = [",".join(str(int(v)) for v in row) for row in confusion]
-    _write_text(path, "\n".join(lines) + "\n")
+    return _text("\n".join(lines) + "\n")
 
 
 def _maybe_normalize(dataset: Dataset, mode: str) -> Dataset:
@@ -141,16 +155,16 @@ def cmd_train(args) -> int:
     params = init_params(cfg.model, seed=cfg.train.seed)
     params, report = train(params, train_set, test_set, cfg.train, log=print)
 
-    # the raw held-out rows, for later eval runs; written after training, so
-    # a run that fails leaves an earlier run's split next to its checkpoint
-    _write(out_dir / "test_split.csv", lambda tmp: save_csv(test_raw, tmp))
-    written = [out_dir / "model.ckpt", out_dir / "report.json"]
-    _write(written[0], lambda tmp: save_checkpoint(params, tmp, normalize=cfg.normalize))
-    _write_text(written[1], report.to_json())
+    # the raw held-out rows, for later eval runs, are written after training
+    # and renamed with the checkpoint, so a run that fails leaves an earlier
+    # run's split next to that run's checkpoint
+    outputs = [(out_dir / "test_split.csv", lambda tmp: save_csv(test_raw, tmp)),
+               (out_dir / "model.ckpt", lambda tmp: save_checkpoint(params, tmp, normalize=cfg.normalize)),
+               (out_dir / "report.json", _text(report.to_json()))]
     if report.confusion is not None:  # None when no epoch ran
-        written.append(out_dir / "confusion.csv")
-        _write_confusion(written[-1], report.confusion)
-    print(f"wrote {', '.join(map(str, written))}")
+        outputs.append((out_dir / "confusion.csv", _confusion(report.confusion)))
+    _write(*outputs)
+    print(f"wrote {', '.join(str(path) for path, _ in outputs[1:])}")
     return 0
 
 
@@ -179,7 +193,7 @@ def _inference_setup(args, outputs: str) -> tuple[ModelParams, Dataset, Path]:
 def cmd_eval(args) -> int:
     params, dataset, out_dir = _inference_setup(args, "confusion.csv")
     accuracy, confusion = evaluate(params, dataset)
-    _write_confusion(out_dir / "confusion.csv", confusion)
+    _write((out_dir / "confusion.csv", _confusion(confusion)))
     print(f"accuracy={accuracy:.4f}")
     return 0
 
@@ -193,6 +207,7 @@ def cmd_reconstruct(args) -> int:
         warnings.warn(f"--k {k} exceeds dataset size {len(dataset)}; clamping")
         k = len(dataset)
     picks = np.random.default_rng(args.seed).permutation(len(dataset))[:k]
+    outputs = []
     for i, idx in enumerate(sorted(int(j) for j in picks)):
         sig = dataset.signals[idx]
         with no_grad():
@@ -201,7 +216,8 @@ def cmd_reconstruct(args) -> int:
             ",".join(f"{v:.17g}" for v in sig.samples),
             ",".join(f"{v:.17g}" for v in fwd.reconstruction.data),
         ]
-        _write_text(out_dir / f"recon_{i:03d}.csv", "\n".join(rows) + "\n")
+        outputs.append((out_dir / f"recon_{i:03d}.csv", _text("\n".join(rows) + "\n")))
+    _write(*outputs)
     for stale in out_dir.glob("recon_*.csv"):  # an earlier run's files past this run's k
         number = re.fullmatch(r"recon_([0-9]+)\.csv", stale.name)
         if number and int(number[1]) >= k and stale.name == f"recon_{int(number[1]):03d}.csv":
@@ -242,7 +258,7 @@ def cmd_synth(args) -> int:
     _clean_partials(out_path.parent, glob.escape(out_path.name))
     dataset = synth_waveforms(num_per_class=args.num_per_class, L=args.length,
                               noise_sigma=args.noise, seed=args.seed or 0)
-    _write(out_path, lambda tmp: save_csv(dataset, tmp))
+    _write((out_path, lambda tmp: save_csv(dataset, tmp)))
     print(f"wrote {len(dataset)} signals to {out_path}")
     return 0
 
@@ -300,8 +316,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
-    except (ConfigError, DataFormatError, CheckpointError, ShapeError, TrainingError,
-            OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, DataFormatError, CheckpointError, ShapeError, TrainingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

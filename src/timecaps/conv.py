@@ -4,7 +4,7 @@ recorded gradients.
 Layout conventions (each input may carry an optional leading batch axis B,
 which the output then carries too):
   conv1d    input (L, Cin),   kernels (Cout, g, Cin)      -> (L, Cout)
-  conv2d    input (H, W, 1),  kernels (Cout, gh, gw)      -> (H, W/gw, Cout)
+  conv2d    input (H, M, gw), kernels (Cout, gh, gw)      -> (H, M, Cout)
   deconv1d  input (Lin, Cin), kernels (Cin, g, Cout)      -> (Lout, Cout)
 
 conv1d and conv2d share one core, a block convolution: a (B, L, M, C) input
@@ -12,13 +12,14 @@ holds M independent blocks, each correlated along L with the same (Cout, g, C)
 kernels at stride 1, same-padded so that the output keeps length L, as the
 paper pads every convolution.  The pad of g - 1 samples is split
 symmetrically, with the extra sample on the right when g is even.  conv1d is
-the case of one block; conv2d cuts its width axis into W/gw non-overlapping
-blocks of gw, so it is a 2D correlation with height stride 1 and width
-stride gw.  The forward is one batched matmul of each block's padded windows
-(the window matrix, im2col) against the kernels.  conv1d stores its result
-(B, L, Cout).  conv2d stores it block-leading, (M, Cout, B*H) in memory, and
-returns a (B, H, M, Cout) view of that: the capsule cells route its output
-in that layout without a copy.
+the case of one block; conv2d takes a map of M blocks of gw channels, as the
+capsule cells hold their primary capsules, so it is a 2D correlation of the
+(H, M*gw) map with height stride 1 and width stride gw.  The forward is one
+batched matmul of each block's padded windows (the window matrix, im2col)
+against the kernels.  conv1d stores its result (B, L, Cout).  conv2d stores
+it block-leading, (M, Cout, B*H) in memory, and returns a (B, H, M, Cout)
+view of that: the capsule cells route its output in that layout without a
+copy.
 
 The backward reads the output gradient as (M, Cout, B*L) through a view,
 so a gradient in the output's own layout is not copied, and it never
@@ -75,17 +76,20 @@ def _scatter_taps(taps: np.ndarray, length: int, stride: int) -> np.ndarray:
     return out
 
 
-def _block_conv(x: Tensor, xb: np.ndarray, kernels: Tensor, out_shape: tuple[int, ...],
-                block_leading: bool) -> Tensor:
+def _block_conv(x: Tensor, xb: np.ndarray, kernels: Tensor, block_leading: bool) -> Tensor:
     """Correlate every block of the (B, L, M, C) view ``xb`` of ``x`` along L
     with the (Cout, g, C) kernels, same-padded at stride 1, giving
-    (B, L, M, Cout) reshaped to ``out_shape``.  With ``block_leading`` the
-    result is stored (M, Cout, B*L) and returned as a view of that storage;
-    otherwise (one block, as in conv1d) it is stored (B, L, Cout)."""
+    (B, L, M, Cout) reshaped to ``x.shape[:-1] + (Cout,)``.  With
+    ``block_leading`` the result is stored (M, Cout, B*L) and returned as a
+    view of that storage; otherwise (one block, as in conv1d) it is stored
+    (B, L, Cout)."""
+    if kernels.data.ndim != 3:
+        raise ShapeError(f"kernels must be (Cout, g, C), got {kernels.shape}")
     batch, length, blocks, channels = xb.shape
     cout, g, cink = kernels.shape
     if cink != channels:
         raise ShapeError(f"kernel channel dim {cink} != input channels {channels}")
+    out_shape = x.shape[:-1] + (cout,)
     left, right = (g - 1) // 2, g // 2
     rows = batch * length
     kf = kernels.data.reshape(cout, g * channels)
@@ -136,27 +140,15 @@ def conv1d(x: Tensor, kernels: Tensor) -> Tensor:
     """Correlate (L, Cin) against (Cout, g, Cin) kernels along the length
     axis, same-padded at stride 1, so the output is (L, Cout)."""
     xb = _batched(x, 2, "(L, Cin)", "conv1d")
-    if kernels.data.ndim != 3:
-        raise ShapeError(f"conv1d kernels must be (Cout, g, Cin), got {kernels.shape}")
-    return _block_conv(x, xb[:, :, None], kernels, x.shape[:-1] + (kernels.shape[0],),
-                       block_leading=False)
+    return _block_conv(x, xb[:, :, None], kernels, block_leading=False)
 
 
 def conv2d(x: Tensor, kernels: Tensor) -> Tensor:
-    """Block convolution of an (H, W, 1) map: each of the W/gw non-overlapping
-    width-gw column blocks is correlated along H (same-padded, stride 1) with
-    the (Cout, gh, gw) kernels.  W must be a multiple of gw."""
-    xb = _batched(x, 3, "(H, W, 1)", "conv2d")
-    if xb.shape[3] != 1:
-        raise ShapeError(f"conv2d input must be (H, W, 1), got {x.shape}")
-    if kernels.data.ndim != 3:
-        raise ShapeError(f"conv2d kernels must be (Cout, gh, gw), got {kernels.shape}")
-    batch, h, w, _ = xb.shape
-    cout, _, gw = kernels.shape
-    if w % gw:
-        raise ShapeError(f"input width {w} is not a multiple of kernel width {gw}")
-    return _block_conv(x, xb.reshape(batch, h, w // gw, gw), kernels,
-                       x.shape[:-2] + (w // gw, cout), block_leading=True)
+    """Block convolution of an (H, M, gw) map of M blocks of gw channels:
+    each block is correlated along H (same-padded, stride 1) with the
+    (Cout, gh, gw) kernels, so the output is (H, M, Cout)."""
+    xb = _batched(x, 3, "(H, M, gw)", "conv2d")
+    return _block_conv(x, xb, kernels, block_leading=True)
 
 
 def deconv1d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:

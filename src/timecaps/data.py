@@ -13,10 +13,10 @@ reader rejects, or that holds a bad label or a non-finite sample, is read
 again by the row-at-a-time ``float()`` parser, ``_load_csv_rows``, which
 accepts what ``float()`` accepts (``1_5``, non-ASCII digits) and names the
 file, the row (1-based, blank lines counted) and, for a sample, the column
-of the first bad field; given ``num_classes`` it rejects a label outside
-``0..num_classes-1`` the same way (``<path>: row 4 has label 7, expected
-0..2``).  The command line runs as ``timecaps`` or, uninstalled, as
-``PYTHONPATH=src python -m timecaps``.
+of the first bad field; it names the first row that is not UTF-8 text the
+same way, and given ``num_classes`` a label outside ``0..num_classes-1``
+(``<path>: row 4 has label 7, expected 0..2``).  The command line runs as
+``timecaps`` or, uninstalled, as ``PYTHONPATH=src python -m timecaps``.
 """
 
 from __future__ import annotations
@@ -101,8 +101,15 @@ def _load_csv_rows(path, num_classes: int | None) -> Dataset:
     and the one that names the first bad row."""
     signals: list[LabeledSignal] = []
     length = None
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    # bytes that are not UTF-8 are read as escapes and rejected line by line,
+    # so the error names the row that holds them
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for row_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise DataFormatError(f"{path}: row {row_no} is not UTF-8 text") from None
             line = line.strip()
             if not line:
                 continue

@@ -92,7 +92,7 @@ COMPONENTS: tuple[tuple[str, Callable[..., Tensor], Callable[[np.random.Generato
     # the tiny config's second decoder dense layer at batch 2
     ("matmul", T.matmul, _normal((2, 8), (8, 16))),
     ("conv1d", conv1d, _normal((10, 3), (4, 3, 3))),
-    ("conv2d", conv2d, _normal((6, 8, 1), (5, 3, 4))),
+    ("conv2d", conv2d, _normal((6, 2, 4), (5, 3, 4))),
     ("deconv1d", lambda x, k: deconv1d(x, k, 2), _normal((5, 3), (3, 4, 2))),
     ("squash", squash, _normal((4, 6), shift=0.5)),
     ("squash_batch2", squash, _normal((2, 4, 6), shift=0.5)),

@@ -313,10 +313,11 @@ def front_conv(x: Tensor, params: ModelParams, cfg: ModelConfig) -> Tensor:
     return conv1d(T.reshape(x, x.shape + (1,)), params["front_kernels"])
 
 
-def _cell_votes(stacked: Tensor, kernels: Tensor, parents: int, dim: int) -> Tensor:
-    """A capsule cell's votes: the vote convolution of the ([B,] rows, W, 1)
-    map ``stacked`` with the (dim*parents, g, gw) ``kernels``, as
-    ([B,] rows, parents, blocks, dim) with one block per width-gw column block.
+def _cell_votes(primary: Tensor, kernels: Tensor, parents: int, dim: int) -> Tensor:
+    """A capsule cell's votes: the vote convolution of the ([B,] rows, blocks,
+    width) primary capsules with the (dim*parents, g, width) ``kernels``,
+    each block correlated along the rows, as ([B,] rows, parents, blocks,
+    dim).
 
     The kernels order their output channels (dim, parent), so the
     block-leading conv2d output holds each block's votes as (dim, parent,
@@ -324,7 +325,7 @@ def _cell_votes(stacked: Tensor, kernels: Tensor, parents: int, dim: int) -> Ten
     the votes returned here are a permuted view that routing reads without a
     copy.
     """
-    votes = conv2d(stacked, kernels)  # ([B,] rows, blocks, dim*parents)
+    votes = conv2d(primary, kernels)  # ([B,] rows, blocks, dim*parents)
     votes = T.reshape(votes, votes.shape[:-1] + (dim, parents))
     k = votes.data.ndim - 4  # the rows axis
     return T.permute(votes, tuple(range(k)) + (k, k + 3, k + 1, k + 2))
@@ -337,8 +338,7 @@ def _capsule_cell(feats: Tensor, rows: int, blocks: int, width: int, kernels: Te
     ``dim`` per row, routed over the blocks: ([B,] rows*parents, dim)."""
     lead = feats.shape[:-2]
     primary = squash(T.reshape(feats, lead + (rows, blocks, width)), axis=-1)
-    stacked = T.reshape(primary, lead + (rows, blocks * width, 1))
-    votes = _cell_votes(stacked, kernels, parents, dim)
+    votes = _cell_votes(primary, kernels, parents, dim)
     routed = dynamic_routing(votes, iterations)  # ([B,] rows, parents, dim)
     return T.reshape(routed, lead + (rows * parents, dim))
 

@@ -90,7 +90,7 @@ def test_ops_batch_axis_matches_loop(rng):
     k1 = Tensor(rng.standard_normal((4, 3, 2)))
     x1 = rng.standard_normal((3, 7, 2))
     k2 = Tensor(rng.standard_normal((5, 3, 4)))
-    x2 = rng.standard_normal((3, 6, 8, 1))
+    x2 = rng.standard_normal((3, 6, 2, 4))
     kd = Tensor(rng.standard_normal((2, 3, 4)))
     xd = rng.standard_normal((3, 5, 2))
     votes = rng.standard_normal((3, 2, 2, 4, 5))

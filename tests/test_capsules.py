@@ -59,9 +59,9 @@ def site_votes(cfg, site, batch, rng, layout="model"):
         (cfg.L, cfg.c_p, cfg.a_p, cfg.c_sa, cfg.a_sa, cfg.g3) if site == "cell_a"
         else (cfg.L // cfg.n, cfg.n, cfg.c_b * cfg.a_b, cfg.c_sb, cfg.a_sb, cfg.g_b))
     if layout == "model":
-        stacked = Tensor(rng.standard_normal(lead + (rows, block * width, 1)))
+        primary = Tensor(rng.standard_normal(lead + (rows, block, width)))
         kernels = Tensor(rng.standard_normal((parent * dim, g, width)) / np.sqrt(g * width))
-        return _cell_votes(stacked, kernels, parent, dim).data
+        return _cell_votes(primary, kernels, parent, dim).data
     stored = rng.standard_normal(lead + (rows, block, parent, dim))
     k = len(lead)
     return stored.transpose(tuple(range(k)) + (k, k + 2, k + 1, k + 3))

@@ -172,6 +172,23 @@ class TestTrainCommand:
                      "--out", "ev"]) == 0
         assert f"accuracy={report['epochs'][-1]['test_accuracy']:.4f}" in capsys.readouterr().out
 
+    def test_failed_checkpoint_write_keeps_the_earlier_run(self, tmp_path, synth_csv, monkeypatch):
+        # negative control: test_split.csv was renamed into place before
+        # model.ckpt was written, so a write that failed there left the new
+        # run's split next to the earlier run's checkpoint
+        out_dir = tmp_path / "run"
+        cfg = str(smoke_config(tmp_path, synth_csv, out_dir))
+        assert main(["train", "--config", cfg]) == 0
+        names = ("test_split.csv", "model.ckpt", "report.json", "confusion.csv")
+        first = {name: (out_dir / name).read_bytes() for name in names}
+
+        def disk_full(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "save_checkpoint", disk_full)
+        assert main(["train", "--config", cfg, "--seed", "2"]) == 2
+        assert {name: (out_dir / name).read_bytes() for name in names} == first
+
     def test_flat_row_trains(self, tmp_path, synth_csv):
         # negative control: a constant row normalizes to zeros, its class
         # capsules are zero vectors, and the gradient of their lengths was
@@ -530,6 +547,32 @@ class TestReconstructCommand:
         assert ours == ["recon_000.csv", "recon_001.csv", "recon_002.csv"]
         assert all(path.read_text() == "keep" for path in unrelated)
 
+    def test_failed_write_keeps_the_earlier_runs_files(self, tmp_path, synth_csv, monkeypatch):
+        # negative control: each recon_<i>.csv was renamed into place as it
+        # was written, so a write that failed on the second file left the new
+        # run's recon_000.csv next to the earlier run's other files
+        out_dir = tmp_path / "run"
+        main(["train", "--config", str(smoke_config(tmp_path, synth_csv, out_dir))])
+        rec_dir = tmp_path / "rec"
+        common = ["reconstruct", "--checkpoint", str(out_dir / "model.ckpt"),
+                  "--data", str(out_dir / "test_split.csv"), "--out", str(rec_dir), "--k", "3"]
+        assert main(common) == 0
+        first = {p.name: p.read_bytes() for p in rec_dir.glob("recon_*.csv")}
+        assert len(first) == 3
+        real_write_text = Path.write_text
+        calls = []
+
+        def fail_second(path, *args, **kwargs):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return real_write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", fail_second)
+        assert main(common + ["--seed", "1"]) == 2
+        assert len(calls) == 2
+        assert {p.name: p.read_bytes() for p in rec_dir.glob("recon_*.csv")} == first
+
     def test_k_clamped_with_warning(self, tmp_path, synth_csv):
         out_dir = tmp_path / "run"
         cfg = smoke_config(tmp_path, synth_csv, out_dir)
@@ -666,6 +709,47 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert "error: the model has 282,195 parameter and input coordinates" in captured.err
         assert captured.out == ""
+
+
+class TestNonUtf8Input:
+    """A data or config file that is not UTF-8 text exits 2 with one error
+    line naming the file, not a traceback and exit 1."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("non_utf8")
+        data = root / "synth.csv"
+        assert main(["synth", "--out", str(data), "--num-per-class", "20", "--length", "32",
+                     "--seed", "3"]) == 0
+        run = root / "run"
+        assert main(["train", "--config", str(smoke_config(root, data, run))]) == 0
+        row = ",".join(["0.5"] * 31)
+        latin_csv = root / "latin.csv"
+        latin_csv.write_bytes(f"0,{row},1.0\n\n1,{row},".encode() + b"\xe9\n")
+        latin_json = root / "latin.json"
+        latin_json.write_bytes(b'{"train": {"epochs": 1}, "note": "caf\xe9"}')
+        return {"data": data, "ckpt": run / "model.ckpt", "latin_csv": latin_csv,
+                "latin_json": latin_json, "out": root / "out"}
+
+    @pytest.mark.parametrize("argv,bad,message", [
+        (["train", "--data", "{latin_csv}", "--out", "{out}"], "latin_csv", "row 3 is not UTF-8 text"),
+        (["eval", "--checkpoint", "{ckpt}", "--data", "{latin_csv}", "--out", "{out}"],
+         "latin_csv", "row 3 is not UTF-8 text"),
+        (["reconstruct", "--checkpoint", "{ckpt}", "--data", "{latin_csv}", "--out", "{out}"],
+         "latin_csv", "row 3 is not UTF-8 text"),
+        (["train", "--config", "{latin_json}", "--data", "{data}", "--out", "{out}"],
+         "latin_json", "config is not UTF-8 text"),
+        (["gradcheck", "--config", "{latin_json}"], "latin_json", "config is not UTF-8 text"),
+    ], ids=["train-data", "eval-data", "reconstruct-data", "train-config", "gradcheck-config"])
+    def test_exits_2_naming_the_file(self, files, capsys, argv, bad, message):
+        # negative control: each command ended with a UnicodeDecodeError
+        # traceback and exit 1, the code of a failed gradcheck
+        capsys.readouterr()
+        assert main([arg.format(**files) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {files[bad]}: {message}"]
+        assert not files["out"].exists()
 
 
 class TestExitCodes:

@@ -123,8 +123,8 @@ class TestConv1d:
 
 class TestConv2d:
     def test_channel_sweep_count(self, rng):
-        # width 32 cut into width-8 blocks -> 4 positions
-        x = Tensor(rng.standard_normal((6, 32, 1)))
+        # 4 blocks of width 8 -> 4 positions
+        x = Tensor(rng.standard_normal((6, 4, 8)))
         k = Tensor(rng.standard_normal((10, 3, 8)))
         out = conv2d(x, k)
         assert out.shape == (6, 32 // 8, 10)
@@ -137,21 +137,21 @@ class TestConv2d:
         assert out.data[0, 0, 0] == 3.5
 
     def test_shape_arithmetic(self, rng):
-        x = Tensor(rng.standard_normal((8, 12, 1)))
+        x = Tensor(rng.standard_normal((8, 3, 4)))
         k = Tensor(rng.standard_normal((6, 3, 4)))
         assert conv2d(x, k).shape == (8, 3, 6)
 
     def test_inexact_sweep_rejected(self):
         k = Tensor(np.ones((2, 3, 4)))
-        for width in (10, 3):  # 10 % 4 != 0; a kernel wider than the map
-            with pytest.raises(ShapeError, match="not a multiple of kernel width 4"):
-                conv2d(Tensor(np.ones((4, width, 1))), k)
+        for width in (5, 3):  # blocks wider or narrower than the kernel
+            with pytest.raises(ShapeError, match=f"kernel channel dim 4 != input channels {width}"):
+                conv2d(Tensor(np.ones((4, 2, width))), k)
 
     def test_matches_windowed_oracle(self, rng):
-        x = rng.standard_normal((5, 8, 1))
+        x = rng.standard_normal((5, 2, 4))
         k = rng.standard_normal((3, 3, 4))
         out = conv2d(Tensor(x), Tensor(k)).data
-        xp = np.pad(x[:, :, 0], ((1, 1), (0, 0)))  # gh=3 same padding
+        xp = np.pad(x.reshape(5, 8), ((1, 1), (0, 0)))  # gh=3 same padding
         for h in range(5):
             for w in range(2):
                 for o in range(3):
@@ -166,7 +166,7 @@ class TestConv2d:
     def test_equals_conv1d_per_width_block(self, rng, lead):
         # conv2d is conv1d (same padding) applied to each width block, with
         # the block's gw columns as input channels; gradients included
-        x = rng.standard_normal(lead + (7, 12, 1))
+        x = rng.standard_normal(lead + (7, 3, 4))
         k = rng.standard_normal((5, 3, 4))
         cot = rng.standard_normal(lead + (7, 3, 5))
         xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
@@ -174,11 +174,11 @@ class TestConv2d:
         T.sum_over(T.mul(out, Tensor(cot))).backward()
         kb = Tensor(k, requires_grad=True)
         for m in range(3):
-            xm = Tensor(x[..., 4 * m : 4 * m + 4, 0], requires_grad=True)
+            xm = Tensor(x[..., m, :], requires_grad=True)
             om = conv1d(xm, kb)
             assert np.allclose(out.data[..., m, :], om.data, rtol=1e-13, atol=1e-13)
             T.sum_over(T.mul(om, Tensor(cot[..., m, :]))).backward()
-            assert np.allclose(xt.grad[..., 4 * m : 4 * m + 4, 0], xm.grad, rtol=1e-13, atol=1e-13)
+            assert np.allclose(xt.grad[..., m, :], xm.grad, rtol=1e-13, atol=1e-13)
         assert np.allclose(kt.grad, kb.grad, rtol=1e-13, atol=1e-13)
 
 class TestDeconv1d:

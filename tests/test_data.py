@@ -93,6 +93,16 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match="row 2 has label 3, expected 0..2"):
             load_csv(p, num_classes=3)
 
+    def test_non_utf8_row_is_named_exactly(self, tmp_path):
+        # negative control: the reader decoded the file in chunks, so a byte
+        # that is not UTF-8 escaped as UnicodeDecodeError, naming no row
+        p = tmp_path / "d.csv"
+        rows = "".join(f"{i % 3},{i}.5,2.25\n" for i in range(2000))
+        p.write_bytes(rows.encode() + b"1,3.5,\xe9\n" + b"0,1.0,2.0\n")
+        with pytest.raises(DataFormatError) as err:
+            load_csv(p)
+        assert str(err.value) == f"{p}: row 2001 is not UTF-8 text"
+
     def test_byte_order_mark_skipped(self, tmp_path):
         # negative control: a spreadsheet's BOM used to fail as label '\ufeff0'
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
