@@ -42,14 +42,11 @@ norms and their squash factors (``squash`` keeps its squared norms and
 factors too), so the backward recomputes no softmax, no norm and no squash
 factor.  The same record is the routing trace: ``dynamic_routing_trace``
 runs the one routing forward and rebuilds the logits from the record, so
-tracing adds no branch to routing.  The vote gradient is written, one chunk
-of rows at a time, into a buffer with the votes' own strides, so a caller
-that made the votes as a permuted view (both cells and the class stage do)
-reads their gradient through the same view, without a transposed copy.  In
-the flat form each chunk's einsum writes into one contiguous (block, dim,
-chunk) block, which is then copied into the chunk's strided slice of the
-(block, dim, rows) buffer; when one chunk covers every row, the einsum
-writes straight into the buffer.
+tracing adds no branch to routing.  The backward is one pass over every
+row, and it writes the vote gradient into a buffer with the votes' own
+strides, so a caller that made the votes as a permuted view (both cells and
+the class stage do) reads their gradient through the same view, without a
+transposed copy.
 
 The class stage's votes come from ``class_votes``, which stores them
 example-major, (B, N, C, a_sig) in memory, and returns the (B, C, N, a_sig)
@@ -140,8 +137,9 @@ def _squash_backward(x: np.ndarray, g: np.ndarray, axis: int, s2: np.ndarray, f:
     q = 1.0 / (s2 + 1.0)
     coef = ((s2 * q) * ((1.0 - s2) * q) + 2.0 * _NORM_EPS * q * q) / r
     out = np.multiply(f, g, out=out)
+    coef *= _inner(g, x, axis) / r  # before x / r: one vote-sized temporary at a time
     xr = x / r
-    xr *= coef * (_inner(g, x, axis) / r)
+    xr *= coef
     out += xr
     return out
 
@@ -234,10 +232,6 @@ def capsule_length(t: Tensor, axis: int = -1) -> Tensor:
     return make_op(n.squeeze(axis), (t,), backward)
 
 
-# Floats of temporaries per chunk of outer rows in the routing backward (1 MiB).
-_ROUTING_CHUNK = 1 << 17
-
-
 def _couplings(logits: np.ndarray, axis: int) -> np.ndarray:
     """Max-shifted softmax over the block axis ``axis``."""
     e = logits - logits.max(axis=axis, keepdims=True)
@@ -258,14 +252,12 @@ def _flat_form(shape: tuple[int, ...]) -> bool:
     return p_n * r_n > s_n
 
 
-def _flat_votes(votes: np.ndarray) -> tuple[np.ndarray, bool]:
+def _flat_votes(votes: np.ndarray) -> np.ndarray:
     """The (s, n, r*P) form of (P, r, s, n) votes, rows ordered (parent,
-    outer), and whether it had to be copied: votes stored that way (as both
-    cells' vote convolutions store them) are read through a view."""
+    outer): votes stored that way (as both cells' vote convolutions store
+    them) are read through a view, others are copied."""
     p_n, r_n, s_n, n_n = votes.shape
-    v = votes.transpose(2, 3, 1, 0)
-    copied = not v.flags.c_contiguous
-    return (np.ascontiguousarray(v) if copied else v).reshape(s_n, n_n, r_n * p_n), copied
+    return np.ascontiguousarray(votes.transpose(2, 3, 1, 0)).reshape(s_n, n_n, r_n * p_n)
 
 
 def _weighted(c: np.ndarray, v: np.ndarray, flat: bool) -> np.ndarray:
@@ -285,15 +277,13 @@ def _agreement(v: np.ndarray, y: np.ndarray, flat: bool) -> np.ndarray:
 
 @dataclass
 class _Routed:
-    """What one routing forward keeps: the votes in the form's layout (in the
-    flat form, ``copied`` says whether that is a copy of the caller's votes)
-    and per iteration k the couplings c_k, weighted sums w_k, their squared
-    norms and their squash factors (block or dim axis leading in the flat
-    form, trailing in the matmul form); the trace rebuilds the logits."""
+    """What one routing forward keeps: the votes in the form's layout and per
+    iteration k the couplings c_k, weighted sums w_k, their squared norms and
+    their squash factors (block or dim axis leading in the flat form,
+    trailing in the matmul form); the trace rebuilds the logits."""
 
     flat: bool
     votes: np.ndarray
-    copied: bool = False
     couplings: list[np.ndarray] = field(default_factory=list)
     sums: list[np.ndarray] = field(default_factory=list)
     norms: list[np.ndarray] = field(default_factory=list)
@@ -307,10 +297,10 @@ def _route(votes: np.ndarray, iterations: int):
     p_n, r_n, s_n, n_n = votes.shape
     flat = _flat_form(votes.shape)
     ax = 0 if flat else -1  # the block axis of couplings, the dim axis of sums
-    v, copied = _flat_votes(votes) if flat else (votes, False)
+    v = _flat_votes(votes) if flat else votes
     c = np.full((s_n, p_n * r_n) if flat else (p_n, r_n, s_n), 1.0 / s_n)  # softmax of zero logits
     b = None
-    rec = _Routed(flat, v, copied)
+    rec = _Routed(flat, v)
     for it in range(iterations):
         w = _weighted(c, v, flat)
         y, s2, f = _squashed(w, ax)
@@ -333,72 +323,42 @@ def _route_backward(votes: np.ndarray, rec: _Routed, gout: np.ndarray) -> np.nda
     squash(w_k) and b_{k+1} = b_k + <y_k, v>.  Walking back from the output,
     the logit gradient gb flows unchanged through the additive updates, and
     dv = sum_k c_k (x) dw_k + gb_{k+1} (x) y_k.  The 2K-1 outer products are
-    stacked and contracted once per chunk of rows into a gradient buffer with
-    the memory layout of ``votes``: in the flat form one einsum into a
-    contiguous block, copied into the (s, n, rows) buffer (or written
-    straight into it when one chunk covers every row), in the matmul form one
-    batched matmul.  The squash factors y_k / w_k come from the forward.  The
-    logits b_0 are a constant, so no gradient is formed for them.
+    stacked over every row and contracted once into a gradient buffer with
+    the memory layout of ``votes``: in the flat form one einsum into its
+    (s, n, r, P) view, in the matmul form one batched matmul.  The squash
+    factors y_k / w_k come from the forward.  The logits b_0 are a constant,
+    so no gradient is formed for them.
     """
     p_n, r_n, s_n, n_n = votes.shape
-    flat, ax = rec.flat, (0 if rec.flat else -1)
+    flat, ax, v = rec.flat, (0 if rec.flat else -1), rec.votes
+    gy = np.ascontiguousarray(gout.transpose(2, 1, 0)).reshape(n_n, r_n * p_n) if flat else gout
     terms = 2 * len(rec.couplings) - 1
-    # per row: the coupling and gradient stacks and about three block-sized
-    # and three dim-sized temporaries
-    per_row = (terms + 3) * (s_n + n_n)
-    if flat:
-        total = p_n * r_n
-        grad = np.empty((s_n, n_n, total))
-        gy_all = np.ascontiguousarray(gout.transpose(2, 1, 0)).reshape(n_n, total)
-    else:
-        total, per_row = p_n, per_row * r_n
-        grad = np.empty_like(votes, order="K")
-    rows = max(1, _ROUTING_CHUNK // per_row)
-    # the flat form's contiguous chunk block; none when one chunk covers every row
-    block = np.empty(s_n * n_n * rows) if flat and rows < total else None
-    for lo in range(0, total, rows):
-        sl = slice(lo, lo + rows)
-        if flat:
-            v, gy = rec.votes[:, :, sl], gy_all[:, sl]
-            pick = lambda a: a[:, sl]
-        else:
-            v, gy = votes[sl], gout[sl]
-            pick = lambda a: a[sl]
-        left = np.empty((terms,) + pick(rec.couplings[0]).shape)
-        right = np.empty((terms,) + pick(rec.sums[0]).shape)
-        t, gb = 0, None  # gb: gradient of the logits entering the current iteration
-        for k in reversed(range(len(rec.couplings))):
-            c, w = pick(rec.couplings[k]), pick(rec.sums[k])
-            s2, f = pick(rec.norms[k]), pick(rec.factors[k])
-            if gb is not None:  # b_{k+1} = b_k + <y_k, v>
-                gy = _weighted(gb, v, flat)
-                left[t] = gb
-                np.multiply(w, f, out=right[t])
-                t += 1
-            _squash_backward(w, gy, ax, s2, f, right[t])
-            left[t] = c
-            if k:
-                gc = _agreement(v, right[t], flat)
-                gc -= _inner(gc, c, ax)
-                gc *= c
-                gb = gc if gb is None else gb + gc
+    left = np.empty((terms,) + rec.couplings[0].shape)
+    right = np.empty((terms,) + rec.sums[0].shape)
+    t, gb = 0, None  # gb: gradient of the logits entering the current iteration
+    for k in reversed(range(len(rec.couplings))):
+        c, w, s2, f = rec.couplings[k], rec.sums[k], rec.norms[k], rec.factors[k]
+        if gb is not None:  # b_{k+1} = b_k + <y_k, v>
+            gy = _weighted(gb, v, flat)
+            left[t] = gb
+            np.multiply(w, f, out=right[t])
             t += 1
-        if not flat:
-            np.matmul(np.moveaxis(left, 0, -1), np.moveaxis(right, 0, -2), out=grad[sl])
-        elif block is None:
-            np.einsum("tsm,tnm->snm", left, right, out=grad)
-        else:
-            dst = block[: s_n * n_n * v.shape[2]].reshape(s_n, n_n, v.shape[2])
-            np.einsum("tsm,tnm->snm", left, right, out=dst)
-            grad[:, :, sl] = dst
-    if not flat:
-        return grad
-    grad = grad.reshape(s_n, n_n, r_n, p_n).transpose(3, 2, 0, 1)
-    if not rec.copied:
-        return grad
-    out = np.empty_like(votes, order="K")  # votes laid out otherwise: their own layout
-    out[...] = grad
-    return out
+        _squash_backward(w, gy, ax, s2, f, right[t])
+        left[t] = c
+        if k:
+            gc = _agreement(v, right[t], flat)
+            gc -= _inner(gc, c, ax)
+            gc *= c
+            gb = gc if gb is None else gb + gc
+        t += 1
+    gy = gb = gc = None  # freed before the gradient buffer is taken
+    grad = np.empty_like(votes, order="K")
+    if flat:
+        np.einsum("tsrp,tnrp->snrp", left.reshape(terms, s_n, r_n, p_n),
+                  right.reshape(terms, n_n, r_n, p_n), out=grad.transpose(2, 3, 1, 0))
+    else:
+        np.matmul(np.moveaxis(left, 0, -1), np.moveaxis(right, 0, -2), out=grad)
+    return grad
 
 
 def _routing_node(votes: Tensor, iterations: int):

@@ -6,7 +6,8 @@ writes all its outputs to ``<name>.partial`` files and renames them into
 place only once the last is complete, and at command start the stale
 ``.partial`` files of the command's own outputs, and no others, are removed.
 ``train`` writes ``test_split.csv`` after training, with the checkpoint, and
-``reconstruct`` ends by removing its own ``recon_<i>.csv`` files of an
+a run with no epoch ends by removing the ``confusion.csv`` of an earlier
+run; ``reconstruct`` ends by removing its own ``recon_<i>.csv`` files of an
 earlier run for every i at or past the number it wrote.
 """
 
@@ -164,6 +165,8 @@ def cmd_train(args) -> int:
     if report.confusion is not None:  # None when no epoch ran
         outputs.append((out_dir / "confusion.csv", _confusion(report.confusion)))
     _write(*outputs)
+    if report.confusion is None:  # an earlier run's matrix does not describe this model
+        (out_dir / "confusion.csv").unlink(missing_ok=True)
     print(f"wrote {', '.join(str(path) for path, _ in outputs[1:])}")
     return 0
 

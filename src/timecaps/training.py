@@ -173,16 +173,19 @@ def _backprop_batch(params: ModelParams, signals, cfg: TrainConfig,
     the batch's summed margin and reconstruction losses.  The graph lives
     only inside this call, so it is released before the next batch records.
     Raises TrainingError on a non-finite loss, or on the first parameter
-    (in ``params`` order) whose gradient is not finite.
+    (in ``params`` order) whose gradient is not finite; numpy's overflow,
+    invalid-value and divide-by-zero warnings are silenced meanwhile, since
+    these checks report any of them.
     """
     x = _stack(signals)
     labels = np.array([sig.label for sig in signals])
-    fwd = model_forward(x, params, params.config, mask_class=labels)
-    total, margin, recon = loss_terms(fwd, x, labels, cfg)
-    loss = T.sum_over(total)
-    if not np.isfinite(loss.data):
-        raise TrainingError(f"non-finite loss {loss.item()} at {where}")
-    loss.backward()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fwd = model_forward(x, params, params.config, mask_class=labels)
+        total, margin, recon = loss_terms(fwd, x, labels, cfg)
+        loss = T.sum_over(total)
+        if not np.isfinite(loss.data):
+            raise TrainingError(f"non-finite loss {loss.item()} at {where}")
+        loss.backward()
     for name, p in params.items():
         if not np.isfinite(p.grad).all():
             raise TrainingError(f"non-finite gradient of {name!r} at {where} "

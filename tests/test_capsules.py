@@ -394,7 +394,7 @@ class TestRoutingAtModelSites:
         votes = site_votes(cfg, site, 16, rng)
         rows = votes.reshape((-1,) + votes.shape[-3:])
         _, rec = _route(rows, 3)
-        assert rec.flat and not rec.copied
+        assert rec.flat
         assert np.shares_memory(rec.votes, made[0].data)
         leaf = Tensor(votes, requires_grad=True)
         weighted_routing(leaf, rng.standard_normal(votes.shape[:-2] + votes.shape[-1:])).backward()
@@ -427,43 +427,38 @@ class TestRoutingAtModelSites:
         assert np.shares_memory(gout, written[0]) and np.shares_memory(g, written[0])
         assert omega.grad is not None and params["class_weights"].grad is not None
 
-    @pytest.mark.parametrize("cfg,site", [(ModelConfig.toy(), "cell_a"), (BEAT_CFG, "cell_b")],
-                             ids=["toy-cell_a", "beat-cell_b"])
-    def test_vote_gradient_does_not_depend_on_the_chunking(self, rng, monkeypatch, cfg, site):
-        # the flat form contracts each chunk of rows into a contiguous block
-        # and copies it into the gradient, or writes straight into the
-        # gradient when one chunk covers every row: both give the same bits
+    @pytest.mark.parametrize("name,cfg", [("toy", ModelConfig.toy()), ("beat", BEAT_CFG)])
+    @pytest.mark.parametrize("site", ["cell_a", "cell_b"])
+    def test_vote_gradient_does_not_depend_on_the_layout(self, rng, name, cfg, site):
+        # the flat form's einsum writes into a view of a buffer laid out as
+        # the votes are: the model's view, a C-ordered and a Fortran-ordered
+        # copy of the same votes give the same bits
         votes = site_votes(cfg, site, 16, rng)
         coeffs = rng.standard_normal(votes.shape[:-2] + votes.shape[-1:])
-        p_n, r_n, s_n, n_n = votes.reshape((-1,) + votes.shape[-3:]).shape
-        per_row = (2 * 3 - 1 + 3) * (s_n + n_n)  # _route_backward's budget per row
-        real, calls, grads = capsules._squash_backward, [], []
-        monkeypatch.setattr(capsules, "_squash_backward", lambda *a: calls.append(1) or real(*a))
-        for chunks in (1, 2, 5):
-            monkeypatch.setattr(capsules, "_ROUTING_CHUNK", per_row * -(-p_n * r_n // chunks))
-            calls.clear()
-            leaf = Tensor(votes, requires_grad=True)
+        grads = []
+        for v in (votes, np.ascontiguousarray(votes), np.asfortranarray(votes)):
+            leaf = Tensor(v, requires_grad=True)
             weighted_routing(leaf, coeffs).backward()
-            assert len(calls) == 3 * chunks  # one per iteration and chunk
-            grads.append(leaf.grad)
-        assert grads[0].tobytes() == grads[1].tobytes() == grads[2].tobytes()
+            grads.append(np.ascontiguousarray(leaf.grad).tobytes())
+        assert grads[0] == grads[1] == grads[2]
 
-    def test_backward_memory_is_chunked(self, rng):
-        # traced peak of one routing forward and backward at the beat cell-A
-        # shape, batch 16.  Model-made votes peak near 6.3x their size, and
-        # near 10.3x when the whole flat backward is held at once.  Votes laid
-        # out otherwise are copied once, and the copy stays on the tape until
-        # the backward: near 7.3x, and near 11.3x unchunked.
-        for layout, bound in (("model", 10), ("rows", 9)):
-            votes = site_votes(BEAT_CFG, "cell_a", 16, rng, layout)
-            coeffs = rng.standard_normal(votes.shape[:-2] + votes.shape[-1:])
-            tracemalloc.start()
-            try:
-                weighted_routing(Tensor(votes, requires_grad=True), coeffs).backward()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < bound * votes.nbytes, layout
+    @pytest.mark.parametrize("site,layout,bound", [("cell_a", "model", 10), ("cell_a", "rows", 9),
+                                                   ("class", "model", 3)])
+    def test_backward_memory_is_bounded(self, rng, site, layout, bound):
+        # traced peak of one routing forward and backward at the beat shapes,
+        # batch 16.  Model-made cell-A votes peak near 7.9x their size.  Votes
+        # laid out otherwise are copied once, and the copy stays on the tape
+        # until the backward: near 8.9x.  The class votes, routed in the
+        # matmul form, peak near 2.0x.
+        votes = site_votes(BEAT_CFG, site, 16, rng, layout)
+        coeffs = rng.standard_normal(votes.shape[:-2] + votes.shape[-1:])
+        tracemalloc.start()
+        try:
+            weighted_routing(Tensor(votes, requires_grad=True), coeffs).backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * votes.nbytes
 
 
 class TestMarginLoss:

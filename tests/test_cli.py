@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -151,7 +152,6 @@ class TestTrainCommand:
         assert not (out_dir / "test_split.csv").exists()
         assert not (out_dir / "model.ckpt").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_failed_run_keeps_the_earlier_test_split(self, tmp_path, monkeypatch, capsys):
         # negative control: test_split.csv was written before epoch 1, so a
         # run that failed in training replaced the split of the checkpoint
@@ -236,6 +236,34 @@ class TestTrainCommand:
         assert wrote == [f"wrote {out_dir / 'model.ckpt'}, {out_dir / 'report.json'}"]
         assert not (out_dir / "confusion.csv").exists()
 
+    def test_zero_epochs_removes_the_earlier_confusion(self, tmp_path, monkeypatch):
+        # negative control: a run with no epoch replaced the checkpoint and
+        # the report, whose confusion is null, but left the earlier run's
+        # confusion.csv beside them
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--out", "w.csv", "--num-per-class", "12", "--seed", "3"]) == 0
+        assert main(["train", "--data", "w.csv", "--epochs", "1", "--seed", "1", "--out", "run"]) == 0
+        assert Path("run/confusion.csv").exists()
+        assert main(["train", "--data", "w.csv", "--epochs", "0", "--seed", "2", "--out", "run"]) == 0
+        assert json.loads(Path("run/report.json").read_text())["confusion"] is None
+        assert sorted(p.name for p in Path("run").iterdir()) == ["model.ckpt", "report.json",
+                                                                 "test_split.csv"]
+
+    def test_diverging_run_prints_one_error_line(self, tmp_path, monkeypatch, capsys):
+        # negative control: six numpy RuntimeWarnings (overflow and invalid
+        # values in the conv products and in squash) came before the error
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--out", "w.csv", "--num-per-class", "12", "--seed", "3"]) == 0
+        Path("bad.json").write_text(json.dumps({"train": {"lr": 1e300}, "split_seed": 5}))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", "bad.json", "--data", "w.csv", "--epochs", "3",
+                         "--seed", "2", "--out", "run"]) == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: non-finite loss")
+
     def test_negative_min_class_count_exits_2(self, tmp_path, synth_csv, capsys):
         # negative control: -3 was accepted and trained like 0
         out_dir = tmp_path / "run_mcc"
@@ -270,7 +298,6 @@ class TestTrainCommand:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(cfg_path)]) == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_non_finite_loss_exits_2_without_checkpoint(self, tmp_path, synth_csv, capsys):
         # negative control: un-normalized 1e200 samples overflow squash to NaN
         rows = synth_csv.read_text().splitlines()
@@ -291,7 +318,6 @@ class TestTrainCommand:
         assert not (out_dir / "report.json").exists()
 
     @pytest.mark.usefixtures("inf_front_conv_gradient")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the conv backward
     def test_non_finite_gradient_exits_2_without_checkpoint(self, tmp_path, synth_csv, capsys):
         # negative control: un-normalized 1e100 samples keep the loss finite,
         # and the patched front convolution's backward makes the gradient of

@@ -183,7 +183,6 @@ class TestTrainLoop:
             assert a.margin_loss == b.margin_loss
             assert a.test_accuracy == b.test_accuracy
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_non_finite_loss_raises_naming_epoch_and_batch(self, tiny_cfg, rng):
         # negative control: a row of huge samples overflows squash to NaN in
         # whichever batch holds it; training must stop there, not carry NaN
@@ -197,7 +196,6 @@ class TestTrainLoop:
             train(init_params(tiny_cfg, seed=0), ds, ds, TrainConfig(epochs=2, batch_size=4, seed=0))
 
     @pytest.mark.usefixtures("inf_front_conv_gradient")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the conv backward
     def test_non_finite_gradient_raises_naming_epoch_batch_and_tensor(self, tiny_cfg, rng):
         # negative control: the batch holding the row of 1e100 samples keeps a
         # finite loss (~1e196), but the patched front convolution's backward
